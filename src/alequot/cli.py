@@ -8,8 +8,12 @@ Commands
     radial RUNFILE         continuity-path solve, decay fit, mass bookkeeping
     sweep2d RMAX           all coprime pairs with r <= RMAX, aggregated
 
-Exit codes: 0 all applicable certificates pass, 1 certificate failure,
-2 usage or parse error, 3 solver failure.
+Exit codes, one meaning each:
+    0  every applicable certificate passes
+    1  a certificate failed (the report names it)
+    2  usage, parse or input error
+    3  solver failure: Newton stalled or a profile left the Kahler cone
+    4  internal error: a self-check of the engine failed
 """
 
 from __future__ import annotations
@@ -19,10 +23,11 @@ import json
 import sys
 
 from . import __version__
-from .formats import ParseError, parse_run_file, parse_subdivision_file, rational_str, real_str
+from .formats import parse_run_file, parse_subdivision_file, rational_str, real_str
 from .quotient import CyclicQuotient, singularity_data
 from .radial import (
     DecayFitError,
+    KahlerConeError,
     SolverFailure,
     decay_fit,
     mass_integral,
@@ -89,52 +94,91 @@ def _strata_certificate(report) -> dict:
     }
 
 
-def _exit_from_certificates(certs: dict) -> int:
-    return 1 if any(entry["verdict"] == FAIL for entry in certs.values()) else 0
+def _exit_code(entries) -> int:
+    return 1 if any(entry["verdict"] == FAIL for entry in entries) else 0
+
+
+def _exact_report(command: str, inputs: dict, data, body: dict, certificates: dict, tail=None):
+    """The layout every exact report shares: meta, input, singularity, the
+    command's own sections, certificates, then `tail` (the notes by default)."""
+    report = {
+        "meta": _meta(command),
+        "input": inputs,
+        "singularity": {
+            "gamma": [rational_str(g) for g in data.gamma],
+            "gorenstein_index": data.gorenstein_index,
+            "volume_density": rational_str(data.volume_density),
+        },
+        **body,
+        "certificates": certificates,
+        **(tail or {"notes": [GAMMA_NOTE]}),
+    }
+    return report, _exit_code(certificates.values())
+
+
+def _subdivision_certificates(sub_report) -> dict:
+    return {
+        "unimodularity": {
+            "verdict": _verdict(sub_report.all_unimodular),
+            "determinants": list(sub_report.cone_determinants),
+        },
+        "covering": {
+            "verdict": _verdict(sub_report.covering_ok),
+            "weighted_volume": rational_str(sub_report.covering_sum)
+            if sub_report.covering_sum is not None
+            else None,
+            "expected": sub_report.covering_expected,
+        },
+        "interiority": {
+            "verdict": _verdict(sub_report.all_interior),
+            "per_ray": list(sub_report.ray_interior),
+        },
+    }
+
+
+def _subdivision_section(fan, discrepancies: bool) -> dict:
+    section = {
+        "cones": [[list(g) for g in cone.generators] for cone in fan.cones],
+        "rays": [list(ray.w) for ray in fan.rays],
+        "beta": [rational_str(ray.beta) for ray in fan.rays],
+    }
+    if discrepancies:
+        section["discrepancies"] = [rational_str(ray.discrepancy) for ray in fan.rays]
+    return {"subdivision": section}
 
 
 def resolve2d_report(r: int, a: int) -> tuple[dict, int]:
     q = CyclicQuotient(r=r, weights=(a,))
     data = singularity_data(q)
-    chain = hj_resolution(q)
-    verdict = angle_condition(chain)
+    chain = hj_resolution(q, data)
     im = IntersectionMatrix(bs=chain.self_intersections)
-    adj_ok = adjunction_check(chain)
     bk = energy(chain)
     strata = volume_density_inequality(chain.rays, chain_strata(len(chain.rays)), data.volume_density)
 
     certificates = {
-        "angle_condition": _angle_certificate(verdict),
+        "angle_condition": _angle_certificate(angle_condition(chain)),
         "negative_definite": {
             "verdict": _verdict(im.is_negative_definite()),
             "leading_minors": im.leading_minors(),
         },
         "inverse_nonpositive": {
             "verdict": _verdict(im.inverse_entries_nonpositive()),
-            "inverse_first_row": [rational_str(x) for x in im.inverse()[0]],
+            "inverse_first_row": [rational_str(x) for x in im.inverse_row(0)],
         },
         "adjunction": {
-            "verdict": _verdict(adj_ok),
+            "verdict": _verdict(adjunction_check(chain)),
             "row_targets": [str(b - 2) for b in chain.self_intersections],
         },
         "volume_density": _strata_certificate(strata),
     }
-    report = {
-        "meta": _meta("resolve2d"),
-        "input": {"r": r, "a": a},
-        "singularity": {
-            "gamma": [rational_str(g) for g in data.gamma],
-            "gorenstein_index": data.gorenstein_index,
-            "volume_density": rational_str(data.volume_density),
-        },
-        "resolution": {
-            "rays": [list(ray.w) for ray in chain.rays],
-            "self_intersections": list(chain.self_intersections),
-            "continued_fraction": list(chain.continued_fraction),
-            "beta": [rational_str(b) for b in chain.betas],
-            "discrepancies": [rational_str(ray.discrepancy) for ray in chain.rays],
-        },
-        "certificates": certificates,
+    resolution = {
+        "rays": [list(ray.w) for ray in chain.rays],
+        "self_intersections": list(chain.self_intersections),
+        "continued_fraction": list(chain.self_intersections),
+        "beta": [rational_str(b) for b in chain.betas],
+        "discrepancies": [rational_str(ray.discrepancy) for ray in chain.rays],
+    }
+    tail = {
         "energy": {
             "chi": bk.chi_x,
             "curve_terms": [rational_str(x) for x in bk.curve_terms],
@@ -145,98 +189,35 @@ def resolve2d_report(r: int, a: int) -> tuple[dict, int]:
         },
         "notes": [GAMMA_NOTE] + ([ENERGY_NOTE] if bk.conditional else []),
     }
-    return report, _exit_from_certificates(certificates)
+    return _exact_report("resolve2d", {"r": r, "a": a}, data, {"resolution": resolution}, certificates, tail)
 
 
 def resolve3d_report(r: int, a: int) -> tuple[dict, int]:
     fan = three_dim_family(r, a)
-    data = fan.parent
-    sub_report = validate_subdivision(fan)
-    verdict = angle_condition(fan)
-    strata = volume_density_inequality(fan.rays, family_strata(), data.volume_density)
+    strata = volume_density_inequality(fan.rays, family_strata(), fan.parent.volume_density)
     certificates = {
-        "unimodularity": {
-            "verdict": _verdict(sub_report.all_unimodular),
-            "determinants": list(sub_report.cone_determinants),
-        },
-        "covering": {
-            "verdict": _verdict(sub_report.covering_ok),
-            "weighted_volume": rational_str(sub_report.covering_sum)
-            if sub_report.covering_sum is not None
-            else None,
-            "expected": sub_report.covering_expected,
-        },
-        "interiority": {
-            "verdict": _verdict(sub_report.all_interior),
-            "per_ray": list(sub_report.ray_interior),
-        },
-        "angle_condition": _angle_certificate(verdict),
+        **_subdivision_certificates(validate_subdivision(fan)),
+        "angle_condition": _angle_certificate(angle_condition(fan)),
         "volume_density": _strata_certificate(strata),
     }
-    report = {
-        "meta": _meta("resolve3d"),
-        "input": {"r": r, "a": a},
-        "singularity": {
-            "gamma": [rational_str(g) for g in data.gamma],
-            "gorenstein_index": data.gorenstein_index,
-            "volume_density": rational_str(data.volume_density),
-        },
-        "subdivision": {
-            "cones": [[list(g) for g in cone.generators] for cone in fan.cones],
-            "rays": [list(ray.w) for ray in fan.rays],
-            "beta": [rational_str(ray.beta) for ray in fan.rays],
-            "discrepancies": [rational_str(ray.discrepancy) for ray in fan.rays],
-        },
-        "certificates": certificates,
-        "notes": [GAMMA_NOTE],
-    }
-    return report, _exit_from_certificates(certificates)
+    body = _subdivision_section(fan, discrepancies=True)
+    return _exact_report("resolve3d", {"r": r, "a": a}, fan.parent, body, certificates)
 
 
 def check_subdivision_report(text: str) -> tuple[dict, int]:
     quotient, cones = parse_subdivision_file(text)
-    data = singularity_data(quotient)
-    fan = build_subdivision(data, cones)
+    fan = build_subdivision(singularity_data(quotient), cones)
     sub_report = validate_subdivision(fan)
-    verdict = angle_condition(fan)
     certificates = {
-        "unimodularity": {
-            "verdict": _verdict(sub_report.all_unimodular),
-            "determinants": list(sub_report.cone_determinants),
-        },
-        "covering": {
-            "verdict": _verdict(sub_report.covering_ok),
-            "weighted_volume": rational_str(sub_report.covering_sum)
-            if sub_report.covering_sum is not None
-            else None,
-            "expected": sub_report.covering_expected,
-        },
-        "interiority": {
-            "verdict": _verdict(sub_report.all_interior),
-            "per_ray": list(sub_report.ray_interior),
-        },
+        **_subdivision_certificates(sub_report),
         "disjointness": {
             "verdict": NA if sub_report.disjoint is None else _verdict(sub_report.disjoint),
         },
-        "angle_condition": _angle_certificate(verdict),
+        "angle_condition": _angle_certificate(angle_condition(fan)),
     }
-    report = {
-        "meta": _meta("check-subdivision"),
-        "input": {"r": quotient.r, "weights": list(quotient.weights)},
-        "singularity": {
-            "gamma": [rational_str(g) for g in data.gamma],
-            "gorenstein_index": data.gorenstein_index,
-            "volume_density": rational_str(data.volume_density),
-        },
-        "subdivision": {
-            "cones": [[list(g) for g in cone.generators] for cone in fan.cones],
-            "rays": [list(ray.w) for ray in fan.rays],
-            "beta": [rational_str(ray.beta) for ray in fan.rays],
-        },
-        "certificates": certificates,
-        "notes": [GAMMA_NOTE],
-    }
-    return report, _exit_from_certificates(certificates)
+    inputs = {"r": quotient.r, "weights": list(quotient.weights)}
+    body = _subdivision_section(fan, discrepancies=False)
+    return _exact_report("check-subdivision", inputs, fan.parent, body, certificates)
 
 
 ORACLE_CERT_TOL = 1e-6
@@ -255,14 +236,16 @@ def radial_report(text: str) -> tuple[dict, int]:
         "s_max": real_str(grid.s_max),
         "nodes": grid.m,
         "t_steps": config.t_steps,
-        "newton_tol": real_str(config.newton_tol),
+        "newton_tol": "auto" if config.newton_tol is None else real_str(config.newton_tol),
     }
     try:
         u, trace = newton_continuity_solve(config, grid)
-    except SolverFailure as exc:
+        deviation = oracle_deviation(u, config)
+    except (SolverFailure, KahlerConeError) as exc:
+        failed = getattr(exc, "trace", None)
         excerpt = [
             {"t": real_str(st.t), "residuals": [real_str(v) for v in st.residuals[-5:]]}
-            for st in (exc.trace.steps[-3:] if exc.trace else [])
+            for st in (failed.steps[-3:] if failed else [])
         ]
         report = {
             "meta": _meta("radial"),
@@ -271,7 +254,6 @@ def radial_report(text: str) -> tuple[dict, int]:
         }
         return report, 3
 
-    deviation = oracle_deviation(u, config)
     certificates = {
         "solver_converged": {"verdict": PASS, "newton_iterations": trace.newton_iterations},
         "oracle_agreement": {
@@ -296,21 +278,25 @@ def radial_report(text: str) -> tuple[dict, int]:
         decay_entry = {"error": str(exc)}
         certificates["decay_fit"] = {"verdict": FAIL, "error": str(exc)}
 
-    if config.n >= 3:
-        mass = mass_integral(config, grid, solution=u)
-        mass_entry = {
-            "verdict": PASS,
-            "radial_integral": real_str(mass.radial_integral),
-            "link_volume": real_str(mass.link_vol),
-            "volume_integral": real_str(mass.volume_integral),
-            "formula_a": real_str(mass.formula_a),
-            "fitted_coefficient": real_str(mass.fitted_coefficient)
-            if mass.fitted_coefficient is not None
-            else None,
-            "ratio": real_str(mass.ratio) if mass.ratio is not None else None,
-        }
-    else:
+    if config.n < 3:
         mass_entry = {"verdict": NA, "reason": "mass normalization needs n >= 3"}
+    else:
+        try:
+            mass = mass_integral(config, grid, solution=u)
+        except DecayFitError as exc:
+            mass_entry = {"verdict": FAIL, "error": str(exc)}
+        else:
+            mass_entry = {
+                "verdict": PASS,
+                "radial_integral": real_str(mass.radial_integral),
+                "link_volume": real_str(mass.link_vol),
+                "volume_integral": real_str(mass.volume_integral),
+                "formula_a": real_str(mass.formula_a),
+                "fitted_coefficient": real_str(mass.fitted_coefficient)
+                if mass.fitted_coefficient is not None
+                else None,
+                "ratio": real_str(mass.ratio) if mass.ratio is not None else None,
+            }
 
     final_step = trace.steps[-1]
     report = {
@@ -330,7 +316,7 @@ def radial_report(text: str) -> tuple[dict, int]:
             "mass ratio is reported, not asserted; constancy across bump amplitudes is the testable claim"
         ],
     }
-    return report, _exit_from_certificates(certificates)
+    return report, _exit_code([*certificates.values(), mass_entry])
 
 
 def sweep2d_report(r_max: int) -> tuple[dict, int]:
@@ -395,32 +381,25 @@ def _emit(report: dict, code: int, json_path: str | None) -> int:
     return code
 
 
+# subcommand -> (report builder, help, positional arguments); the builder gets
+# the integer arguments, or the text of the file a "file" argument names
+COMMANDS = {
+    "resolve2d": (resolve2d_report, "minimal resolution of 1/R(1, A)", ("r", "a")),
+    "resolve3d": (resolve3d_report, "five-cone family for 1/R(1, 1, A)", ("r", "a")),
+    "check-subdivision": (check_subdivision_report, "certify a fan subdivision file", ("file",)),
+    "radial": (radial_report, "continuity-path solve from a run file", ("file",)),
+    "sweep2d": (sweep2d_report, "aggregate certificates for all r <= RMAX", ("r_max",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="alequot", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p2 = sub.add_parser("resolve2d", help="minimal resolution of 1/R(1, A)")
-    p2.add_argument("r", type=int)
-    p2.add_argument("a", type=int)
-    p2.add_argument("--json", metavar="PATH", default=None)
-
-    p3 = sub.add_parser("resolve3d", help="five-cone family for 1/R(1, 1, A)")
-    p3.add_argument("r", type=int)
-    p3.add_argument("a", type=int)
-    p3.add_argument("--json", metavar="PATH", default=None)
-
-    pc = sub.add_parser("check-subdivision", help="certify a fan subdivision file")
-    pc.add_argument("file")
-    pc.add_argument("--json", metavar="PATH", default=None)
-
-    pr = sub.add_parser("radial", help="continuity-path solve from a run file")
-    pr.add_argument("file")
-    pr.add_argument("--json", metavar="PATH", default=None)
-
-    ps = sub.add_parser("sweep2d", help="aggregate certificates for all r <= RMAX")
-    ps.add_argument("r_max", type=int)
-    ps.add_argument("--json", metavar="PATH", default=None)
-
+    for name, (_, help_text, positionals) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg in positionals:
+            p.add_argument(arg, type=str if arg == "file" else int)
+        p.add_argument("--json", metavar="PATH", default=None)
     return parser
 
 
@@ -430,27 +409,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    build, _, positionals = COMMANDS[args.command]
     try:
-        if args.command == "resolve2d":
-            report, code = resolve2d_report(args.r, args.a)
-        elif args.command == "resolve3d":
-            report, code = resolve3d_report(args.r, args.a)
-        elif args.command == "check-subdivision":
+        if positionals == ("file",):
             with open(args.file) as fh:
-                text = fh.read()
-            report, code = check_subdivision_report(text)
-        elif args.command == "radial":
-            with open(args.file) as fh:
-                text = fh.read()
-            report, code = radial_report(text)
+                inputs = [fh.read()]
         else:
-            report, code = sweep2d_report(args.r_max)
-    except ParseError as exc:
+            inputs = [getattr(args, arg) for arg in positionals]
+        report, code = build(*inputs)
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     return _emit(report, code, args.json)
 
 

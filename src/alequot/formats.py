@@ -141,7 +141,7 @@ _RUN_DEFAULTS = {
     "s_max": 1e4,
     "nodes": 2048,
     "t_steps": 10,
-    "newton_tol": 1e-11,
+    "newton_tol": None,  # automatic: stop at the round-off floor
 }
 
 

@@ -71,27 +71,13 @@ def sigma_cone(q: CyclicQuotient) -> LatticeCone:
 
 
 def gamma(q: CyclicQuotient) -> RatVec:
-    """The unique rational vector pairing to 1 with every generator of sigma.
-
-    Computed by the closed formula ((1 + sum(a_i - r))/r, 1, ..., 1) and then
-    re-verified against the defining pairing property, so a transcription
-    slip in either route cannot pass silently.
-    """
-    n = q.dim
-    first = Fraction(1 + sum(a - q.r for a in q.weights), q.r)
-    g = (first,) + (Fraction(1),) * (n - 1)
-    for generator in sigma_cone(q).generators:
-        pairing = sum(Fraction(c) * gc for c, gc in zip(generator, g))
-        if pairing != 1:
-            raise AssertionError(
-                f"gamma self-check failed: <{generator}, gamma> = {pairing} != 1"
-            )
-    return g
+    """The unique rational vector pairing to 1 with every generator of sigma."""
+    return singularity_data(q).gamma
 
 
 def gorenstein_index(q: CyclicQuotient) -> int:
     """Smallest l >= 1 such that l * gamma is integral (lcm of denominators)."""
-    return lcm(*(entry.denominator for entry in gamma(q)))
+    return singularity_data(q).gorenstein_index
 
 
 def volume_density(q: CyclicQuotient) -> Fraction:
@@ -100,10 +86,22 @@ def volume_density(q: CyclicQuotient) -> Fraction:
 
 
 def singularity_data(q: CyclicQuotient) -> SingularityData:
+    """Everything derived from the quotient, with sigma and gamma built once.
+
+    gamma is computed by the closed formula ((1 + sum(a_i - r))/r, 1, ..., 1)
+    and then re-verified against the defining pairing property, so a
+    transcription slip in either route cannot pass silently.
+    """
+    sigma = sigma_cone(q)
+    g = (Fraction(1 + sum(a - q.r for a in q.weights), q.r),) + (Fraction(1),) * (q.dim - 1)
+    for generator in sigma.generators:
+        pairing = sum(Fraction(c) * gc for c, gc in zip(generator, g))
+        if pairing != 1:
+            raise AssertionError(f"gamma self-check failed: <{generator}, gamma> = {pairing} != 1")
     return SingularityData(
         quotient=q,
-        sigma=sigma_cone(q),
-        gamma=gamma(q),
-        gorenstein_index=gorenstein_index(q),
+        sigma=sigma,
+        gamma=g,
+        gorenstein_index=lcm(*(entry.denominator for entry in g)),
         volume_density=volume_density(q),
     )

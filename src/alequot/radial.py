@@ -124,7 +124,7 @@ class PathConfig:
     c: float
     r_order: int = 1
     t_steps: int = 10
-    newton_tol: float = 1e-11
+    newton_tol: float | None = None  # None: stop at the round-off floor
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
@@ -137,7 +137,7 @@ class PathConfig:
             raise ValueError(f"group order must be an integer >= 1, got {self.r_order!r}")
         if self.t_steps < 1:
             raise ValueError("need at least one continuity step")
-        if not self.newton_tol > 0:
+        if self.newton_tol is not None and not self.newton_tol > 0:
             raise ValueError("Newton tolerance must be positive")
 
     def validate_against(self, grid: RadialGrid) -> None:
@@ -285,39 +285,65 @@ class PathTrace:
         return sum(len(st.step_sizes) for st in self.steps)
 
 
-def _derivative_operators(grid: RadialGrid):
+# Finite-difference stencils on the uniform grid in x: name -> (column of the
+# first weight relative to the row, integer weights, denominator, derivative
+# order); the coefficients are weights / (denominator * h^order).  d1 and d2
+# are fourth-order centred, *_o2 second-order centred, d1_first to d1_last
+# the fourth-order one-sided and skewed rows of the two ends, and value the
+# identity row of the Dirichlet condition.
+_STENCILS = {
+    "d1": (-2, (1, -8, 0, 8, -1), 12, 1),
+    "d2": (-2, (-1, 16, -30, 16, -1), 12, 2),
+    "d1_o2": (-1, (-1, 0, 1), 2, 1),
+    "d2_o2": (-1, (1, -2, 1), 1, 2),
+    "d1_first": (0, (-25, 48, -36, 16, -3), 12, 1),
+    "d1_second": (-1, (-3, -10, 18, -6, 1), 12, 1),
+    "d1_penultimate": (-3, (-1, 6, -18, 10, 3), 12, 1),
+    "d1_last": (-4, (3, -16, 36, -48, 25), 12, 1),
+    "value": (0, (1,), 1, 0),
+}
+
+
+def _coefficients(name: str, h: float) -> np.ndarray:
+    _, weights, denominator, order = _STENCILS[name]
+    # multiplied left to right: (12 h) h does not round like 12 (h h)
+    return np.array(weights, dtype=float) / math.prod([denominator] + [h] * order)
+
+
+def _stencil_matrix(grid: RadialGrid, layout) -> sp.csr_matrix:
+    """Sparse operator whose rows apply the named stencils; `layout` pairs
+    row indices with a stencil name, and unlisted rows stay empty."""
+    rows, cols, vals = [], [], []
+    for index, name in layout:
+        first = _STENCILS[name][0]
+        coeffs = _coefficients(name, grid.h)
+        (nonzero,) = np.nonzero(coeffs)
+        index = np.asarray(index)
+        rows.append(np.repeat(index, nonzero.size))
+        cols.append((index[:, None] + first + nonzero).ravel())
+        vals.append(np.tile(coeffs[nonzero], index.size))
+    m = grid.m
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(m, m)
+    )
+
+
+def _interior_operators(grid: RadialGrid):
     """Sparse d/dx and d2/dx2 with fourth-order interior rows; the two rows
     next to the boundary fall back to second order (the correction is locally
     constant there) and the boundary rows stay empty for the BC rows."""
-    m, h = grid.m, grid.h
-    d1 = sp.lil_matrix((m, m))
-    d2 = sp.lil_matrix((m, m))
-    c1_4 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12 * h)
-    c2_4 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * h * h)
-    for i in range(1, m - 1):
-        if 2 <= i <= m - 3:
-            d1[i, i - 2:i + 3] = c1_4
-            d2[i, i - 2:i + 3] = c2_4
-        else:
-            d1[i, i - 1:i + 2] = np.array([-1.0, 0.0, 1.0]) / (2 * h)
-            d2[i, i - 1:i + 2] = np.array([1.0, -2.0, 1.0]) / (h * h)
-    return d1.tocsr(), d2.tocsr()
+    inner, near = np.arange(2, grid.m - 2), [1, grid.m - 2]
+    return (
+        _stencil_matrix(grid, [(near, "d1_o2"), (inner, "d1")]),
+        _stencil_matrix(grid, [(near, "d2_o2"), (inner, "d2")]),
+    )
 
 
-def _full_first_derivative(grid: RadialGrid) -> sp.csr_matrix:
+def _first_derivative(grid: RadialGrid) -> sp.csr_matrix:
     """Fourth-order d/dx at every node, one-sided and skewed near the ends."""
-    m, h = grid.m, grid.h
-    d1 = sp.lil_matrix((m, m))
-    one_sided = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
-    skewed = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12 * h)
-    centred = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12 * h)
-    d1[0, :5] = one_sided
-    d1[1, :5] = skewed
-    for i in range(2, m - 2):
-        d1[i, i - 2:i + 3] = centred
-    d1[m - 2, m - 5:m] = -skewed[::-1]
-    d1[m - 1, m - 5:m] = -one_sided[::-1]
-    return d1.tocsr()
+    m = grid.m
+    ends = [([0], "d1_first"), ([1], "d1_second"), ([m - 2], "d1_penultimate"), ([m - 1], "d1_last")]
+    return _stencil_matrix(grid, ends + [(np.arange(2, m - 2), "d1")])
 
 
 def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
@@ -329,17 +355,24 @@ def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
     strictly decreases the residual and keeps f' and the discrete density
     positive; exhaustion of the backtracking raises SolverFailure with the
     trace collected so far.
+
+    A t-step ends once the max-norm residual drops below `config.newton_tol`
+    or, when that is None, below max(1e-11, floor), where floor =
+    4 eps max(s (f'_bg)^{1-n} + |s e^{t f0} P^{1-n}| + (64/12) max|u| / h^2)
+    bounds the round-off in evaluating G at the current iterate (64/12 sums
+    the absolute d2 weights).  No Newton step can push G below it.
     """
     config.validate_against(grid)
     n = config.n
     m = grid.m
     s = grid.s
     h = grid.h
-    d1, d2 = _derivative_operators(grid)
+    d1, d2 = _interior_operators(grid)
+    boundary = _stencil_matrix(grid, [([0], "d1_first"), ([m - 1], "value")])
+    neumann = _coefficients("d1_first", h)
     qb = calabi_profile(n, config.calabi_c, grid).values
     swb = s * qb ** (1 - n)  # s * (f'_bg + s f''_bg) via the exact density identity
     f0 = bump_values(config, s)
-    neumann = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
 
     def residual(u, rhs):
         ux = d1 @ u
@@ -367,14 +400,13 @@ def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
                 raise SolverFailure(f"f' lost positivity at t = {t}", trace)
             res = float(np.max(np.abs(g)))
             step.residuals.append(res)
-            if res < config.newton_tol:
+            terms = swb + np.abs(s * rhs * p ** (1 - n)) + (64 / 12) * np.max(np.abs(u)) / h**2
+            floor = 4 * np.finfo(float).eps * float(np.max(terms))
+            tol = max(1e-11, floor) if config.newton_tol is None else config.newton_tol
+            if res < tol:
                 break
-            jac = (d2 + sp.diags((n - 1) * rhs * p ** (-float(n))) @ d1).tolil()
-            jac[0, :] = 0.0
-            jac[0, :5] = neumann
-            jac[-1, :] = 0.0
-            jac[-1, -1] = 1.0
-            delta = spla.spsolve(jac.tocsr(), -g)
+            jac = d2 + sp.diags((n - 1) * rhs * p ** (-float(n))) @ d1 + boundary
+            delta = spla.spsolve(jac, -g)
             alpha = 1.0
             accepted = False
             for _ in range(max_halvings + 1):
@@ -388,7 +420,7 @@ def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
                     break
                 alpha *= 0.5
             if not accepted:
-                bad = "damping exhausted"
+                bad = f"damping exhausted at residual {res:.3g}, round-off floor {floor:.3g}"
                 if g_new is None:
                     bad = "f' non-positive under every damping"
                 elif not np.all(w_new[1:-1] > 0):
@@ -405,7 +437,7 @@ def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
 def total_fprime(u: RadialProfile, config: PathConfig) -> RadialProfile:
     """f' of the solved metric: background plus the differentiated correction."""
     grid = u.grid
-    d1 = _full_first_derivative(grid)
+    d1 = _first_derivative(grid)
     qb = calabi_profile(config.n, config.calabi_c, grid).values
     return RadialProfile(grid=grid, values=qb + (d1 @ u.values) / grid.s)
 
@@ -520,11 +552,7 @@ def mass_integral(config: PathConfig, grid: RadialGrid, solution: RadialProfile 
     if config.n < 3:
         raise ValueError("mass normalization degenerates at n = 2; need n >= 3")
     n = config.n
-
-    def integrand(tau):
-        return -tau ** (n - 1) * np.expm1(bump_values(config, tau))
-
-    radial = 0.5 * _BumpIntegral(integrand, config.s0 - config.w, config.s0 + config.w).total
+    radial = -0.5 * _density_integral(config).total
     vol = link_volume(n, config.r_order)
     volume_integral = vol * radial
     formula_a = radial / (n - 2)

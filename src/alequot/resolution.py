@@ -25,7 +25,6 @@ from functools import cmp_to_key
 from .lattice import (
     IntVec,
     LatticeCone,
-    cone_coordinates,
     contains_in_interior,
     det,
     is_primitive,
@@ -57,18 +56,14 @@ class ChainResolution:
     """Minimal resolution of a two dimensional cyclic quotient.
 
     The exceptional set is a chain E_1, ..., E_k of rational curves with
-    E_j^2 = -b_j, b_j >= 2; the ray vectors satisfy the three-term recurrence
+    E_j^2 = -b_j, b_j >= 2, the digits of the descending continued fraction
+    r/a = b_1 - 1/(b_2 - ...); the ray vectors satisfy the three-term recurrence
     w_{j-1} + w_{j+1} = b_j w_j with sentinels w_0 = e_2 and w_{k+1} = v.
     """
 
     quotient: CyclicQuotient
     rays: tuple[ExceptionalRay, ...]
     self_intersections: tuple[int, ...]
-
-    @property
-    def continued_fraction(self) -> tuple[int, ...]:
-        """Digits of the descending continued fraction r/a = b_1 - 1/(b_2 - ...)."""
-        return self.self_intersections
 
     @property
     def betas(self) -> tuple[Fraction, ...]:
@@ -122,17 +117,19 @@ def _pair_beta(w: IntVec, gamma) -> Fraction:
     return sum(Fraction(c) * g for c, g in zip(w, gamma))
 
 
-def hj_resolution(q: CyclicQuotient) -> ChainResolution:
+def hj_resolution(q: CyclicQuotient, data: SingularityData | None = None) -> ChainResolution:
     """Minimal resolution of 1/r(1, a), rays generated by the integer recurrence.
 
     Seeds: w_0 = e_2 and w_1 = (1, 1), the lattice point of the boundary chain
     with first coordinate 1; then w_{j+1} = b_j w_j - w_{j-1}.  The recurrence
-    is validated against both sentinels before the chain is returned.
+    is validated against both sentinels before the chain is returned.  Pass
+    the quotient's `data` when the caller already holds it.
     """
     if q.dim != 2:
         raise ValueError(f"Hirzebruch-Jung resolution needs a surface quotient, got dim {q.dim}")
     r, a = q.r, q.weights[0]
-    data = singularity_data(q)
+    if data is None:
+        data = singularity_data(q)
     digits = hj_continued_fraction(r, a)
     v = data.sigma.generators[0]
     e2 = (0, 1)
@@ -161,9 +158,11 @@ def hj_resolution(q: CyclicQuotient) -> ChainResolution:
     return ChainResolution(quotient=q, rays=tuple(rays), self_intersections=tuple(digits))
 
 
-def chain_fan(chain: ChainResolution) -> FanSubdivision:
-    """The fan of the chain resolution: consecutive boundary rays pair into cones."""
-    data = singularity_data(chain.quotient)
+def chain_fan(chain: ChainResolution, data: SingularityData | None = None) -> FanSubdivision:
+    """The fan of the chain resolution: consecutive boundary rays pair into
+    cones.  Pass the quotient's `data` when the caller already holds it."""
+    if data is None:
+        data = singularity_data(chain.quotient)
     v = data.sigma.generators[0]
     boundary = [(0, 1)] + [ray.w for ray in chain.rays] + [v]
     cones = tuple(LatticeCone((p, qq)) for p, qq in zip(boundary, boundary[1:]))
@@ -208,15 +207,6 @@ def three_dim_family(r: int, a: int) -> FanSubdivision:
     return FanSubdivision(parent=data, cones=cones, rays=rays)
 
 
-def beta_as_coefficient_sum(w: IntVec, sigma: LatticeCone) -> Fraction:
-    """Cone angle parameter of an interior ray as the sum of its coordinates
-    with respect to the generators of sigma."""
-    coords = cone_coordinates(w, sigma)
-    if any(lam <= 0 for lam in coords):
-        raise ValueError(f"{w} is not interior to the cone (coordinates {coords})")
-    return sum(coords)
-
-
 RAY_THEOREM = "theorem-applicable"
 RAY_CREPANT = "crepant"
 RAY_POSITIVE = "positive-discrepancy"
@@ -251,12 +241,7 @@ def angle_condition(obj) -> AngleVerdict:
     beta = 1 rays are the crepant (smooth instanton) regime and are reported
     as such rather than failed.
     """
-    if isinstance(obj, ChainResolution):
-        rays = obj.rays
-    elif isinstance(obj, FanSubdivision):
-        rays = obj.rays
-    else:
-        rays = tuple(obj)
+    rays = obj.rays if isinstance(obj, (ChainResolution, FanSubdivision)) else tuple(obj)
     labels = tuple(_classify(ray.beta) for ray in rays)
     if not labels:
         status = "no-rays"

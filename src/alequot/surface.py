@@ -42,16 +42,6 @@ class IntersectionMatrix:
     def size(self) -> int:
         return len(self.bs)
 
-    def rows(self) -> list[list[int]]:
-        k = self.size
-        out = [[0] * k for _ in range(k)]
-        for j, b in enumerate(self.bs):
-            out[j][j] = -b
-            if j + 1 < k:
-                out[j][j + 1] = 1
-                out[j + 1][j] = 1
-        return out
-
     def leading_minors(self) -> list[int]:
         """Principal minors d_1, ..., d_k via the three-term recurrence."""
         minors = []
@@ -67,42 +57,42 @@ class IntersectionMatrix:
     def is_negative_definite(self) -> bool:
         return all((d > 0) == (m % 2 == 0) and d != 0 for m, d in enumerate(self.leading_minors(), 1))
 
-    def _trailing_minors(self) -> list[int]:
-        """f[j] = det of the trailing block rows j..k (1-indexed), f[k+1] = 1, f[k+2] = 0."""
-        k = self.size
-        f = [0] * (k + 3)
-        f[k + 1] = 1
-        for j in range(k, 0, -1):
-            f[j] = -self.bs[j - 1] * f[j + 1] - f[j + 2]
-        return f
+    def _continuants(self) -> tuple[list[int], list[int]]:
+        """d[m], the leading minor of order m (d[0] = 1), and f[j], the
+        trailing minor of rows j..k (1-indexed, f[k+1] = 1).  The trailing
+        minors are the leading minors of the reversed chain."""
+        reverse = IntersectionMatrix(bs=self.bs[::-1]).leading_minors()
+        return [1] + self.leading_minors(), [0] + reverse[::-1] + [1]
+
+    def inverse_row(self, i: int) -> list[Fraction]:
+        """Row i (0-based) of the exact inverse from the continuant formula, O(k)."""
+        d, f = self._continuants()
+        return [
+            Fraction((-1) ** (i + j) * d[min(i, j)] * f[max(i, j) + 2], d[-1])
+            for j in range(self.size)
+        ]
 
     def inverse(self) -> list[list[Fraction]]:
-        """Exact inverse from the continuant formula; O(k^2) small integers."""
-        k = self.size
-        d = [1] + self.leading_minors()
-        f = self._trailing_minors()
-        det_m = d[k]
-        out = [[Fraction(0)] * k for _ in range(k)]
-        for i in range(1, k + 1):
-            for j in range(i, k + 1):
-                val = Fraction((-1) ** (i + j) * d[i - 1] * f[j + 1], det_m)
-                out[i - 1][j - 1] = val
-                out[j - 1][i - 1] = val
-        return out
+        """Exact inverse, row by row; O(k^2) small integers."""
+        return [self.inverse_row(i) for i in range(self.size)]
 
     def inverse_entries_nonpositive(self) -> bool:
-        """Sign check of the continuant formula in pure integers (no Fraction
-        construction); agrees with inspecting inverse() entry by entry."""
+        """O(k) proof that every entry of the inverse is <= 0 (in fact < 0).
+
+        If d_m has sign (-1)^m for m = 0..k (d_0 = 1; for m >= 1 this is
+        negative definiteness) and f_j has sign (-1)^{k-j+1} for j = 1..k+1
+        (f_{k+1} = 1), then for i <= j the entry
+        (-1)^{i+j} d_{i-1} f_{j+1} / d_k has sign
+        (-1)^{(i+j) + (i-1) + (k-j) - k} = (-1)^{2i-1} < 0.  The converse
+        holds too: -M has non-positive off-diagonal entries, and such a
+        matrix with a non-negative inverse is a non-singular M-matrix, whose
+        principal minors, leading and trailing alike, are all positive
+        (Berman-Plemmons, Nonnegative Matrices in the Mathematical Sciences,
+        ch. 6).  So the check agrees with inspecting inverse() entry by entry.
+        """
         k = self.size
-        d = [1] + self.leading_minors()
-        f = self._trailing_minors()
-        det_m = d[k]
-        for i in range(1, k + 1):
-            for j in range(i, k + 1):
-                num = (-1) ** (i + j) * d[i - 1] * f[j + 1]
-                if (num > 0) == (det_m > 0) and num != 0:
-                    return False
-        return True
+        _, f = self._continuants()
+        return self.is_negative_definite() and all(f[j] * (-1) ** (k - j + 1) > 0 for j in range(1, k + 1))
 
 
 def intersection_matrix(chain: ChainResolution) -> IntersectionMatrix:
@@ -146,9 +136,6 @@ class EnergyBreakdown:
     group_term: Fraction
     total: Fraction
     conditional: bool  # node terms rest on the normal-crossing tube limit
-
-    def recompute_total(self) -> Fraction:
-        return self.chi_x + sum(self.curve_terms, Fraction(0)) + sum(self.node_terms, Fraction(0)) + self.group_term
 
 
 def energy(chain: ChainResolution) -> EnergyBreakdown:

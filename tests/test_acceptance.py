@@ -148,6 +148,7 @@ def test_criterion_6_energy_values():
 SOLVER_NS = (2, 3, 4)
 SOLVER_CS = (0.5, 1.0, 2.0)
 SOLVER_BUMPS = (-0.25, 0.1)
+FINEST = RadialGrid(1e-2, 1e4, 4096)
 FINE = RadialGrid(1e-2, 1e4, 2048)
 COARSE = RadialGrid(1e-2, 1e4, 1024)
 
@@ -160,10 +161,12 @@ def solver_matrix():
         for calabi_c in SOLVER_CS:
             for c in SOLVER_BUMPS:
                 config = PathConfig(n=n, calabi_c=calabi_c, s0=5.0, w=2.0, c=c)
+                u_finest, _ = newton_continuity_solve(config, FINEST)
                 u_fine, _ = newton_continuity_solve(config, FINE)
                 u_coarse, _ = newton_continuity_solve(config, COARSE)
                 results[(n, calabi_c, c)] = {
                     "config": config,
+                    "dev_finest": oracle_deviation(u_finest, config),
                     "dev_fine": oracle_deviation(u_fine, config),
                     "dev_coarse": oracle_deviation(u_coarse, config),
                     "fit": decay_fit(u_fine, config),
@@ -176,11 +179,11 @@ def test_criterion_7_solver_oracle_equivalence(solver_matrix):
     ok = True
     worst_dev, worst_ratio = 0.0, np.inf
     for entry in solver_matrix.values():
-        dev, dev_c = entry["dev_fine"], entry["dev_coarse"]
-        ratio = dev_c / dev
-        worst_dev = max(worst_dev, dev)
+        devs = (entry["dev_coarse"], entry["dev_fine"], entry["dev_finest"])
+        ratio = min(devs[0] / devs[1], devs[1] / devs[2])   # 1024 -> 2048 -> 4096
+        worst_dev = max(worst_dev, *devs[1:])
         worst_ratio = min(worst_ratio, ratio)
-        ok = ok and dev <= 1e-6 and ratio >= 3.5
+        ok = ok and max(devs[1:]) <= 1e-6 and ratio >= 3.5
     elapsed = time.time() - t0
     announce(
         7,

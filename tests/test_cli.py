@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+import alequot.cli as cli
 from alequot.cli import (
     check_subdivision_report,
     main,
@@ -10,6 +12,7 @@ from alequot.cli import (
     resolve3d_report,
     sweep2d_report,
 )
+from alequot.radial import KahlerConeError
 from test_formats import FAN_74
 
 RUN_SMALL = "n = 3\nr = 7\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = -0.25\nnodes = 512\n"
@@ -88,6 +91,39 @@ def test_radial_report_n2_mass_not_applicable():
     assert report["mass"]["verdict"] == "not-applicable"
 
 
+def test_radial_short_fit_window_is_a_mass_verdict(tmp_path, capsys):
+    run = tmp_path / "short.txt"
+    run.write_text(RUN_SMALL.replace("nodes = 512", "s_max = 100\nnodes = 256"))
+    assert main(["radial", str(run), "--json", "-"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["certificates"]["oracle_agreement"]["verdict"] == "pass"
+    assert report["certificates"]["decay_fit"]["verdict"] == "fail"
+    assert report["mass"]["verdict"] == "fail"
+    assert "usable points" in report["mass"]["error"]
+
+
+def test_kahler_cone_error_is_a_solver_failure(tmp_path, monkeypatch, capsys):
+    def leaves_cone(u, config):
+        raise KahlerConeError("first integral leaves the Kahler cone at node 3")
+
+    monkeypatch.setattr(cli, "oracle_deviation", leaves_cone)
+    run = tmp_path / "run.txt"
+    run.write_text(RUN_SMALL)
+    assert main(["radial", str(run), "--json", "-"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["solver"]["converged"] is False
+    assert "Kahler cone" in report["solver"]["error"]
+
+
+def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise AssertionError("chain recurrence failed")
+
+    monkeypatch.setattr(cli, "hj_resolution", broken)
+    assert main(["resolve2d", "7", "3"]) == 4
+    assert "internal error: chain recurrence failed" in capsys.readouterr().err
+
+
 def test_sweep2d_aggregates():
     report, code = sweep2d_report(12)
     assert code == 0
@@ -160,3 +196,41 @@ def test_radial_solver_failure_exit_code(tmp_path, capsys):
     )
     assert main(["radial", str(run)]) == 3
     capsys.readouterr()
+
+
+def _admissible_family(r_max):
+    for r in range(2, r_max + 1):
+        for a in range(3, r - 2):
+            if (r + 1) % a == 0:
+                yield r, a
+
+
+def _golden_corpus(name, tmp_path):
+    if name == "resolve2d":
+        return [["resolve2d", str(r), str(a)] for r, a in _coprime(60)]
+    if name == "resolve3d":
+        return [["resolve3d", str(r), str(a)] for r, a in _admissible_family(120)]
+    if name == "check-subdivision":
+        fan = tmp_path / "fan74.txt"
+        fan.write_text(FAN_74)
+        return [["check-subdivision", str(fan)]]
+    return [["sweep2d", "30"]]
+
+
+# sha256 of the exit codes and `--json -` bytes of every corpus command, in
+# order; a refactor of the exact engine must leave these digests unchanged
+GOLDEN_SHA256 = {
+    "resolve2d": "fd4f2ba65b4e48ebf77a73b6b578d86f72bd54f5b5eb4412a291a81ea3005ffc",
+    "resolve3d": "878d7a24c6f9fedef4207c319702869a9bb526460b826471ca2fbf88fd1e4b54",
+    "check-subdivision": "fa56bbb7159f254ca196ca4b3353688e6fcd7ff1a8bdeb3836981474a6eba634",
+    "sweep2d": "4a28f3d616c194a80bf003ed0de4f46cd4d924e2bf47db28baa1499b7c53a294",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_exact_reports_match_golden_digest(name, tmp_path, capsys):
+    digest = hashlib.sha256()
+    for argv in _golden_corpus(name, tmp_path):
+        code = main(argv + ["--json", "-"])
+        digest.update(f"{code}\n".encode() + capsys.readouterr().out.encode())
+    assert digest.hexdigest() == GOLDEN_SHA256[name]

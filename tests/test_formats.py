@@ -87,7 +87,7 @@ def test_parse_run_file():
     assert config.calabi_c == 1.0 and config.c == -0.25
     assert grid.m == 256
     assert grid.s_min == 1e-2 and grid.s_max == 1e4   # defaults
-    assert config.t_steps == 10 and config.newton_tol == 1e-11
+    assert config.t_steps == 10 and config.newton_tol is None   # automatic
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,8 @@ from alequot.radial import (
     RadialGrid,
     RadialProfile,
     SolverFailure,
+    _first_derivative,
+    _interior_operators,
     bump_values,
     calabi_profile,
     decay_fit,
@@ -137,6 +139,34 @@ def test_oracle_effective_tail_constant():
     assert c_eff < config.calabi_c
 
 
+def _row_by_row_operators(m, h):
+    """d/dx, d2/dx2 and the full d/dx assembled one row at a time."""
+    d1, d2, full = np.zeros((m, m)), np.zeros((m, m)), np.zeros((m, m))
+    centred1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12 * h)
+    centred2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * h * h)
+    for i in range(2, m - 2):
+        d1[i, i - 2:i + 3], d2[i, i - 2:i + 3], full[i, i - 2:i + 3] = centred1, centred2, centred1
+    for i in (1, m - 2):
+        d1[i, i - 1:i + 2] = np.array([-1.0, 0.0, 1.0]) / (2 * h)
+        d2[i, i - 1:i + 2] = np.array([1.0, -2.0, 1.0]) / (h * h)
+    one_sided = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
+    skewed = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12 * h)
+    full[0, :5], full[1, :5] = one_sided, skewed
+    full[m - 2, m - 5:], full[m - 1, m - 5:] = -skewed[::-1], -one_sided[::-1]
+    return d1, d2, full
+
+
+def test_stencil_table_matches_row_by_row_assembly():
+    for m in (16, 17, 257):
+        grid = RadialGrid(1e-2, 1e4, m)
+        d1, d2 = _interior_operators(grid)
+        full = _first_derivative(grid)
+        for built, reference in zip((d1, d2, full), _row_by_row_operators(m, grid.h)):
+            assert np.array_equal(built.toarray(), reference)     # bit for bit
+            assert built.nnz == np.count_nonzero(reference)       # no stored zeros
+            assert built.has_sorted_indices
+
+
 def test_newton_zero_bump_returns_zero():
     u, trace = newton_continuity_solve(cfg(c=0.0), GRID)
     assert np.all(u.values == 0.0)
@@ -172,6 +202,15 @@ def test_newton_grid_contraction():
     dev_c = oracle_deviation(u_c, config)
     dev_f = oracle_deviation(u_f, config)
     assert dev_c / dev_f >= 3.5
+
+
+def test_readme_config_converges_at_4096_nodes():
+    # the round-off floor of G exceeds 1e-11 here, so a fixed 1e-11
+    # tolerance stalls at t = 0.7; the automatic tolerance stops at the floor
+    config = cfg(n=3, C=1.0, c=-0.25, r_order=7)
+    u, trace = newton_continuity_solve(config, RadialGrid(1e-2, 1e4, 4096))
+    assert len(trace.steps) == config.t_steps
+    assert oracle_deviation(u, config) < 1e-10
 
 
 def test_path_stays_kahler():

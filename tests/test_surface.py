@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 from alequot.quotient import CyclicQuotient, volume_density
 from alequot.resolution import ExceptionalRay, hj_resolution, three_dim_family
@@ -11,7 +12,7 @@ from alequot.surface import (
     intersection_matrix,
     volume_density_inequality,
 )
-from oracles import coprime_pairs, invert_fraction_matrix
+from oracles import coprime_pairs, invert_fraction_matrix, tridiagonal_rows
 
 
 def chain_for(r, a):
@@ -20,9 +21,9 @@ def chain_for(r, a):
 
 def test_intersection_matrix_entries():
     m = intersection_matrix(chain_for(7, 3))
-    assert m.rows() == [[-3, 1, 0], [1, -2, 1], [0, 1, -2]]
+    assert tridiagonal_rows(m.bs) == [[-3, 1, 0], [1, -2, 1], [0, 1, -2]]
     single = intersection_matrix(chain_for(2, 1))
-    assert single.rows() == [[-2]]
+    assert tridiagonal_rows(single.bs) == [[-2]]
 
 
 def test_leading_minors_and_determinant():
@@ -45,11 +46,12 @@ def test_exact_inverse_of_worked_example():
 def test_inverse_against_dense_elimination():
     for bs in [(2,), (3,), (3, 2, 2), (2, 2, 2, 2), (4, 2, 3), (5, 2, 2, 2, 3), (2, 3, 2, 4, 2, 2)]:
         m = IntersectionMatrix(bs=bs)
-        assert m.inverse() == invert_fraction_matrix(m.rows())
+        assert m.inverse() == invert_fraction_matrix(tridiagonal_rows(m.bs))
 
 
 def test_fast_sign_check_agrees_with_inverse():
-    cases = [(2,), (3, 2, 2), (2, 2, 2, 2), (5, 2, 3), (2, 0), (1, 3), (0, 2, 2)]
+    # every chain with entries in -1..4 up to length 4, definite or not
+    cases = [bs for k in range(1, 5) for bs in product(range(-1, 5), repeat=k)]
     for bs in cases:
         m = IntersectionMatrix(bs=bs)
         if m.determinant() == 0:
@@ -61,7 +63,7 @@ def test_fast_sign_check_agrees_with_inverse():
 def test_inverse_identity_property():
     m = IntersectionMatrix(bs=(3, 2, 4, 2))
     inv = m.inverse()
-    rows = m.rows()
+    rows = tridiagonal_rows(m.bs)
     k = m.size
     for i in range(k):
         for j in range(k):
@@ -131,7 +133,7 @@ def test_energy_breakdown_structure():
     assert bk.curve_terms == (Fraction(-3, 7), Fraction(0), Fraction(-1, 7))
     assert bk.node_terms == (Fraction(20, 49) - 1, Fraction(30, 49) - 1)
     assert bk.group_term == Fraction(-1, 7)
-    assert bk.total == bk.recompute_total()
+    assert bk.total == bk.chi_x + sum(bk.curve_terms) + sum(bk.node_terms) + bk.group_term
     assert bk.conditional
     assert not energy(chain_for(2, 1)).conditional
 
