@@ -29,6 +29,7 @@ from .resolution import (
     FanSubdivision,
     SubdivisionReport,
     angle_condition,
+    beta_as_coefficient_sum,
     build_subdivision,
     chain_fan,
     hj_continued_fraction,

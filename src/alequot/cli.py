@@ -149,8 +149,8 @@ def _subdivision_section(fan, discrepancies: bool) -> dict:
 
 def resolve2d_report(r: int, a: int) -> tuple[dict, int]:
     q = CyclicQuotient(r=r, weights=(a,))
-    data = singularity_data(q)
-    chain = hj_resolution(q, data)
+    chain = hj_resolution(q)
+    data = chain.parent
     im = IntersectionMatrix(bs=chain.self_intersections)
     bk = energy(chain)
     strata = volume_density_inequality(chain.rays, chain_strata(len(chain.rays)), data.volume_density)

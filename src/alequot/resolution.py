@@ -21,10 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from math import gcd, prod
 
 from .lattice import (
     IntVec,
     LatticeCone,
+    cone_coordinates,
     contains_in_interior,
     det,
     is_primitive,
@@ -61,9 +63,13 @@ class ChainResolution:
     w_{j-1} + w_{j+1} = b_j w_j with sentinels w_0 = e_2 and w_{k+1} = v.
     """
 
-    quotient: CyclicQuotient
+    parent: SingularityData
     rays: tuple[ExceptionalRay, ...]
     self_intersections: tuple[int, ...]
+
+    @property
+    def quotient(self) -> CyclicQuotient:
+        return self.parent.quotient
 
     @property
     def betas(self) -> tuple[Fraction, ...]:
@@ -100,8 +106,6 @@ def hj_continued_fraction(r: int, a: int) -> list[int]:
         raise ValueError("r and a must be integers")
     if r < 2 or not (1 <= a <= r - 1):
         raise ValueError(f"need r >= 2 and 1 <= a <= r-1, got r={r}, a={a}")
-    from math import gcd
-
     if gcd(a, r) != 1:
         raise ValueError(f"gcd({a}, {r}) != 1")
     digits = []
@@ -117,19 +121,17 @@ def _pair_beta(w: IntVec, gamma) -> Fraction:
     return sum(Fraction(c) * g for c, g in zip(w, gamma))
 
 
-def hj_resolution(q: CyclicQuotient, data: SingularityData | None = None) -> ChainResolution:
+def hj_resolution(q: CyclicQuotient) -> ChainResolution:
     """Minimal resolution of 1/r(1, a), rays generated by the integer recurrence.
 
     Seeds: w_0 = e_2 and w_1 = (1, 1), the lattice point of the boundary chain
     with first coordinate 1; then w_{j+1} = b_j w_j - w_{j-1}.  The recurrence
-    is validated against both sentinels before the chain is returned.  Pass
-    the quotient's `data` when the caller already holds it.
+    is validated against both sentinels before the chain is returned.
     """
     if q.dim != 2:
         raise ValueError(f"Hirzebruch-Jung resolution needs a surface quotient, got dim {q.dim}")
     r, a = q.r, q.weights[0]
-    if data is None:
-        data = singularity_data(q)
+    data = singularity_data(q)
     digits = hj_continued_fraction(r, a)
     v = data.sigma.generators[0]
     e2 = (0, 1)
@@ -155,18 +157,15 @@ def hj_resolution(q: CyclicQuotient, data: SingularityData | None = None) -> Cha
         if not (0 < beta <= 1):
             raise AssertionError(f"cone angle parameter {beta} for ray {w} outside (0, 1]")
         rays.append(ExceptionalRay(w=w, beta=beta))
-    return ChainResolution(quotient=q, rays=tuple(rays), self_intersections=tuple(digits))
+    return ChainResolution(parent=data, rays=tuple(rays), self_intersections=tuple(digits))
 
 
-def chain_fan(chain: ChainResolution, data: SingularityData | None = None) -> FanSubdivision:
-    """The fan of the chain resolution: consecutive boundary rays pair into
-    cones.  Pass the quotient's `data` when the caller already holds it."""
-    if data is None:
-        data = singularity_data(chain.quotient)
-    v = data.sigma.generators[0]
+def chain_fan(chain: ChainResolution) -> FanSubdivision:
+    """The fan of the chain resolution: consecutive boundary rays pair into cones."""
+    v = chain.parent.sigma.generators[0]
     boundary = [(0, 1)] + [ray.w for ray in chain.rays] + [v]
     cones = tuple(LatticeCone((p, qq)) for p, qq in zip(boundary, boundary[1:]))
-    return FanSubdivision(parent=data, cones=cones, rays=chain.rays)
+    return FanSubdivision(parent=chain.parent, cones=cones, rays=chain.rays)
 
 
 def three_dim_family(r: int, a: int) -> FanSubdivision:
@@ -205,6 +204,15 @@ def three_dim_family(r: int, a: int) -> FanSubdivision:
         raise AssertionError("pairing and closed-form cone angles disagree")
     rays = (ExceptionalRay(w=w1, beta=beta1), ExceptionalRay(w=w2, beta=beta2))
     return FanSubdivision(parent=data, cones=cones, rays=rays)
+
+
+def beta_as_coefficient_sum(w: IntVec, sigma: LatticeCone) -> Fraction:
+    """Cone angle parameter of an interior ray as the sum of its coordinates
+    with respect to the generators of sigma."""
+    coords = cone_coordinates(w, sigma)
+    if any(lam <= 0 for lam in coords):
+        raise ValueError(f"{w} is not interior to the cone (coordinates {coords})")
+    return sum(coords)
 
 
 RAY_THEOREM = "theorem-applicable"
@@ -326,18 +334,11 @@ def validate_subdivision(sub: FanSubdivision) -> SubdivisionReport:
 
     covering_sum: Fraction | None = Fraction(0)
     for cone, d in zip(sub.cones, dets):
-        weight = Fraction(1)
-        degenerate = False
-        for g in cone.generators:
-            beta_g = _pair_beta(g, data.gamma)
-            if beta_g <= 0:
-                degenerate = True
-                break
-            weight *= beta_g
-        if degenerate:
+        betas = [_pair_beta(g, data.gamma) for g in cone.generators]
+        if min(betas) <= 0:
             covering_sum = None
             break
-        covering_sum += Fraction(d) / weight
+        covering_sum += Fraction(d) / prod(betas)
     covering_ok = covering_sum == r
 
     ray_interior = tuple(contains_in_interior(ray.w, sigma) for ray in sub.rays)
@@ -367,10 +368,6 @@ def build_subdivision(data: SingularityData, cones) -> FanSubdivision:
     """Assemble a FanSubdivision from bare cones: every generator that is not a
     generator of sigma is declared as an exceptional ray with beta = <w, gamma>."""
     sigma_gens = set(data.sigma.generators)
-    seen: dict[IntVec, None] = {}
-    for cone in cones:
-        for g in cone.generators:
-            if g not in sigma_gens and g not in seen:
-                seen[g] = None
+    seen = dict.fromkeys(g for cone in cones for g in cone.generators if g not in sigma_gens)
     rays = tuple(ExceptionalRay(w=w, beta=_pair_beta(w, data.gamma)) for w in seen)
     return FanSubdivision(parent=data, cones=tuple(cones), rays=rays)

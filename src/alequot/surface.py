@@ -28,8 +28,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .resolution import ChainResolution, ExceptionalRay
+
+
+def _minors(bs) -> list[int]:
+    """d_0 = 1, d_1, ..., d_k of the chain bs: d_m = -b_m d_{m-1} - d_{m-2}."""
+    d = [0, 1]  # d_{-1}, d_0
+    for b in bs:
+        d.append(-b * d[-1] - d[-2])
+    return d[1:]
 
 
 @dataclass(frozen=True)
@@ -42,39 +51,45 @@ class IntersectionMatrix:
     def size(self) -> int:
         return len(self.bs)
 
+    def rows(self) -> list[list[int]]:
+        k = self.size
+        return [[-self.bs[i] if i == j else int(abs(i - j) == 1) for j in range(k)] for i in range(k)]
+
+    @cached_property
+    def _continuants(self) -> tuple[list[int], list[int]]:
+        """d[m], the leading minor of order m (d[0] = 1), and f[j], the
+        trailing minor of rows j..k (1-indexed, f[k+1] = 1), computed once per
+        matrix.  The trailing minors are the leading minors of the reversed
+        chain."""
+        return _minors(self.bs), [0] + _minors(self.bs[::-1])[::-1]
+
     def leading_minors(self) -> list[int]:
         """Principal minors d_1, ..., d_k via the three-term recurrence."""
-        minors = []
-        d_prev, d = 0, 1  # d_{-1}, d_0
-        for b in self.bs:
-            d_prev, d = d, -b * d - d_prev
-            minors.append(d)
-        return minors
+        return self._continuants[0][1:]
 
     def determinant(self) -> int:
-        return self.leading_minors()[-1]
+        return self._continuants[0][-1]
 
     def is_negative_definite(self) -> bool:
         return all((d > 0) == (m % 2 == 0) and d != 0 for m, d in enumerate(self.leading_minors(), 1))
 
-    def _continuants(self) -> tuple[list[int], list[int]]:
-        """d[m], the leading minor of order m (d[0] = 1), and f[j], the
-        trailing minor of rows j..k (1-indexed, f[k+1] = 1).  The trailing
-        minors are the leading minors of the reversed chain."""
-        reverse = IntersectionMatrix(bs=self.bs[::-1]).leading_minors()
-        return [1] + self.leading_minors(), [0] + reverse[::-1] + [1]
+    def _entry(self, i: int, j: int) -> Fraction:
+        """Inverse entry (i, j), 0-based with i <= j, by the continuant formula."""
+        d, f = self._continuants
+        return Fraction((-1) ** (i + j) * d[i] * f[j + 2], d[-1])
 
     def inverse_row(self, i: int) -> list[Fraction]:
-        """Row i (0-based) of the exact inverse from the continuant formula, O(k)."""
-        d, f = self._continuants()
-        return [
-            Fraction((-1) ** (i + j) * d[min(i, j)] * f[max(i, j) + 2], d[-1])
-            for j in range(self.size)
-        ]
+        """Row i (0-based) of the exact inverse, O(k)."""
+        return [self._entry(min(i, j), max(i, j)) for j in range(self.size)]
 
     def inverse(self) -> list[list[Fraction]]:
-        """Exact inverse, row by row; O(k^2) small integers."""
-        return [self.inverse_row(i) for i in range(self.size)]
+        """Exact inverse; O(k^2) small integers, each entry built once."""
+        k = self.size
+        out = [[Fraction(0)] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                out[i][j] = out[j][i] = self._entry(i, j)
+        return out
 
     def inverse_entries_nonpositive(self) -> bool:
         """O(k) proof that every entry of the inverse is <= 0 (in fact < 0).
@@ -91,7 +106,7 @@ class IntersectionMatrix:
         ch. 6).  So the check agrees with inspecting inverse() entry by entry.
         """
         k = self.size
-        _, f = self._continuants()
+        _, f = self._continuants
         return self.is_negative_definite() and all(f[j] * (-1) ** (k - j + 1) > 0 for j in range(1, k + 1))
 
 

@@ -91,21 +91,6 @@ def invert_fraction_matrix(rows):
     return [row[n:] for row in a]
 
 
-def tridiagonal_rows(bs) -> list[list[int]]:
-    """Dense intersection matrix of a chain: -b_j on the diagonal, 1 beside it."""
-    k = len(bs)
-    return [[-bs[i] if i == j else int(abs(i - j) == 1) for j in range(k)] for i in range(k)]
-
-
-def beta_as_coefficient_sum(w, sigma) -> Fraction:
-    """Cone angle parameter of an interior ray as the sum of its coordinates
-    with respect to the generators of sigma, by dense rational elimination."""
-    coords = solve_fraction(sigma.generators, w)
-    if coords is None or any(lam <= 0 for lam in coords):
-        raise ValueError(f"{w} is not interior to the cone (coordinates {coords})")
-    return sum(coords)
-
-
 def _cross(o, p, q):
     return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
 

@@ -7,6 +7,7 @@ from alequot.quotient import CyclicQuotient, singularity_data
 from alequot.resolution import (
     ExceptionalRay,
     angle_condition,
+    beta_as_coefficient_sum,
     build_subdivision,
     chain_fan,
     hj_continued_fraction,
@@ -14,7 +15,7 @@ from alequot.resolution import (
     three_dim_family,
     validate_subdivision,
 )
-from oracles import beta_as_coefficient_sum, coprime_pairs, hull_chain_rays
+from oracles import coprime_pairs, hull_chain_rays
 
 
 def fold_continued_fraction(digits):

@@ -12,7 +12,7 @@ from alequot.surface import (
     intersection_matrix,
     volume_density_inequality,
 )
-from oracles import coprime_pairs, invert_fraction_matrix, tridiagonal_rows
+from oracles import coprime_pairs, invert_fraction_matrix
 
 
 def chain_for(r, a):
@@ -21,9 +21,9 @@ def chain_for(r, a):
 
 def test_intersection_matrix_entries():
     m = intersection_matrix(chain_for(7, 3))
-    assert tridiagonal_rows(m.bs) == [[-3, 1, 0], [1, -2, 1], [0, 1, -2]]
+    assert m.rows() == [[-3, 1, 0], [1, -2, 1], [0, 1, -2]]
     single = intersection_matrix(chain_for(2, 1))
-    assert tridiagonal_rows(single.bs) == [[-2]]
+    assert single.rows() == [[-2]]
 
 
 def test_leading_minors_and_determinant():
@@ -46,7 +46,7 @@ def test_exact_inverse_of_worked_example():
 def test_inverse_against_dense_elimination():
     for bs in [(2,), (3,), (3, 2, 2), (2, 2, 2, 2), (4, 2, 3), (5, 2, 2, 2, 3), (2, 3, 2, 4, 2, 2)]:
         m = IntersectionMatrix(bs=bs)
-        assert m.inverse() == invert_fraction_matrix(tridiagonal_rows(m.bs))
+        assert m.inverse() == invert_fraction_matrix(m.rows())
 
 
 def test_fast_sign_check_agrees_with_inverse():
@@ -63,7 +63,7 @@ def test_fast_sign_check_agrees_with_inverse():
 def test_inverse_identity_property():
     m = IntersectionMatrix(bs=(3, 2, 4, 2))
     inv = m.inverse()
-    rows = tridiagonal_rows(m.bs)
+    rows = m.rows()
     k = m.size
     for i in range(k):
         for j in range(k):
@@ -106,7 +106,7 @@ def test_adjunction_fails_under_beta_mutation():
             rays = list(chain.rays)
             rays[idx] = ExceptionalRay(rays[idx].w, rays[idx].beta + eps)
             mutated = type(chain)(
-                quotient=chain.quotient,
+                parent=chain.parent,
                 rays=tuple(rays),
                 self_intersections=chain.self_intersections,
             )
@@ -142,7 +142,7 @@ def test_energy_invariant_under_chain_reversal():
     for r, a in coprime_pairs(40):
         chain = chain_for(r, a)
         reversed_chain = type(chain)(
-            quotient=chain.quotient,
+            parent=chain.parent,
             rays=tuple(reversed(chain.rays)),
             self_intersections=tuple(reversed(chain.self_intersections)),
         )
