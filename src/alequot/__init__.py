@@ -4,23 +4,21 @@ asymptotically conical Ricci-flat metrics living on them."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .lattice import (
     LatticeCone,
     cone_coordinates,
     contains_in_interior,
     det,
-    is_unimodular,
     make_primitive,
     unit_vector,
 )
 from .quotient import (
     CyclicQuotient,
     SingularityData,
-    gamma,
-    gorenstein_index,
     sigma_cone,
     singularity_data,
-    volume_density,
 )
 from .resolution import (
     AngleVerdict,
@@ -29,7 +27,6 @@ from .resolution import (
     FanSubdivision,
     SubdivisionReport,
     angle_condition,
-    beta_as_coefficient_sum,
     build_subdivision,
     chain_fan,
     hj_continued_fraction,
@@ -45,7 +42,6 @@ from .surface import (
     chain_strata,
     energy,
     family_strata,
-    intersection_matrix,
     volume_density_inequality,
 )
 from .radial import (
@@ -62,7 +58,6 @@ from .radial import (
     calabi_profile,
     decay_fit,
     link_volume,
-    ma_density,
     mass_integral,
     newton_continuity_solve,
     oracle_deviation,
@@ -71,4 +66,9 @@ from .radial import (
     total_fprime,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every public name imported above; the submodules themselves are not part of
+# the flat API
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

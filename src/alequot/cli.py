@@ -282,7 +282,7 @@ def radial_report(text: str) -> tuple[dict, int]:
         mass_entry = {"verdict": NA, "reason": "mass normalization needs n >= 3"}
     else:
         try:
-            mass = mass_integral(config, grid, solution=u)
+            mass = mass_integral(config, u)
         except DecayFitError as exc:
             mass_entry = {"verdict": FAIL, "error": str(exc)}
         else:
@@ -292,9 +292,7 @@ def radial_report(text: str) -> tuple[dict, int]:
                 "link_volume": real_str(mass.link_vol),
                 "volume_integral": real_str(mass.volume_integral),
                 "formula_a": real_str(mass.formula_a),
-                "fitted_coefficient": real_str(mass.fitted_coefficient)
-                if mass.fitted_coefficient is not None
-                else None,
+                "fitted_coefficient": real_str(mass.fitted_coefficient),
                 "ratio": real_str(mass.ratio) if mass.ratio is not None else None,
             }
 

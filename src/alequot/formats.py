@@ -21,6 +21,7 @@ identical inputs produce byte-identical reports.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .lattice import LatticeCone
@@ -38,10 +39,6 @@ class ParseError(ValueError):
 
 def rational_str(value: Fraction | int) -> str:
     return str(Fraction(value))
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def real_str(value: float) -> float:
@@ -161,6 +158,8 @@ def parse_run_file(text: str) -> tuple[PathConfig, RadialGrid]:
             seen[key] = _RUN_KEYS[key](value)
         except ValueError:
             raise ParseError(lineno, f"cannot parse {value!r} as {_RUN_KEYS[key].__name__}") from None
+        if _RUN_KEYS[key] is float and not math.isfinite(seen[key]):
+            raise ParseError(lineno, f"{key} must be finite, got {value!r}")
     missing = [k for k in ("n", "C", "s0", "w", "c") if k not in seen]
     if missing:
         raise ParseError(1, f"missing required keys: {', '.join(missing)}")

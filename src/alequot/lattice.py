@@ -138,6 +138,6 @@ def contains_in_interior(w: IntVec, cone: LatticeCone) -> bool:
     return all(lam > 0 for lam in cone_coordinates(w, cone))
 
 
-def is_unimodular(cone: LatticeCone) -> bool:
-    """True iff the generators span a unit-volume parallelepiped (|det| = 1)."""
-    return abs(cone.determinant) == 1
+def pairing(w: IntVec, gamma: RatVec) -> Fraction:
+    """Exact pairing <w, gamma> of an integer vector with a rational covector."""
+    return sum(Fraction(c) * g for c, g in zip(w, gamma))

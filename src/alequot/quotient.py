@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .lattice import LatticeCone, RatVec, unit_vector
+from .lattice import LatticeCone, RatVec, pairing, unit_vector
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ class SingularityData:
     quotient: CyclicQuotient
     sigma: LatticeCone
     gamma: RatVec
-    gorenstein_index: int
-    volume_density: Fraction
+    gorenstein_index: int       # smallest l >= 1 with l * gamma integral
+    volume_density: Fraction    # vol(S^{2n-1}/mu_r) / vol(S^{2n-1}) = 1/r
 
 
 def sigma_cone(q: CyclicQuotient) -> LatticeCone:
@@ -68,21 +68,6 @@ def sigma_cone(q: CyclicQuotient) -> LatticeCone:
     v = (q.r,) + tuple(q.r - a for a in q.weights)
     gens = (v,) + tuple(unit_vector(i, n) for i in range(1, n))
     return LatticeCone(gens)
-
-
-def gamma(q: CyclicQuotient) -> RatVec:
-    """The unique rational vector pairing to 1 with every generator of sigma."""
-    return singularity_data(q).gamma
-
-
-def gorenstein_index(q: CyclicQuotient) -> int:
-    """Smallest l >= 1 such that l * gamma is integral (lcm of denominators)."""
-    return singularity_data(q).gorenstein_index
-
-
-def volume_density(q: CyclicQuotient) -> Fraction:
-    """Volume ratio of the link S^{2n-1}/mu_r to the round sphere: exactly 1/r."""
-    return Fraction(1, q.r)
 
 
 def singularity_data(q: CyclicQuotient) -> SingularityData:
@@ -95,13 +80,13 @@ def singularity_data(q: CyclicQuotient) -> SingularityData:
     sigma = sigma_cone(q)
     g = (Fraction(1 + sum(a - q.r for a in q.weights), q.r),) + (Fraction(1),) * (q.dim - 1)
     for generator in sigma.generators:
-        pairing = sum(Fraction(c) * gc for c, gc in zip(generator, g))
-        if pairing != 1:
-            raise AssertionError(f"gamma self-check failed: <{generator}, gamma> = {pairing} != 1")
+        value = pairing(generator, g)
+        if value != 1:
+            raise AssertionError(f"gamma self-check failed: <{generator}, gamma> = {value} != 1")
     return SingularityData(
         quotient=q,
         sigma=sigma,
         gamma=g,
         gorenstein_index=lcm(*(entry.denominator for entry in g)),
-        volume_density=volume_density(q),
+        volume_density=Fraction(1, q.r),
     )

@@ -87,10 +87,6 @@ class RadialGrid:
     def h(self) -> float:
         return (math.log(self.s_max) - math.log(self.s_min)) / (self.m - 1)
 
-    def refined(self, factor: int = 2) -> "RadialGrid":
-        """Same interval with the spacing divided by `factor`."""
-        return RadialGrid(self.s_min, self.s_max, (self.m - 1) * factor + 1)
-
 
 @dataclass(frozen=True, eq=False)
 class RadialProfile:
@@ -168,47 +164,25 @@ def calabi_profile(n: int, calabi_c: float, grid: RadialGrid) -> RadialProfile:
     return RadialProfile(grid=grid, values=vals)
 
 
-def ma_density(f_prime: RadialProfile, n: int) -> RadialProfile:
-    """Discrete Monge-Ampere density (f')^{n-1} (f' + s f'').
-
-    The second factor is differenced as d(s f')/dx / s on the log grid;
-    differencing s f' instead of f' itself keeps the cancellation error
-    uniform where f' grows like 1/s.  Second order, one-sided at the ends.
-    Raises KahlerConeError on a non-positive value at an interior node.
-    """
-    grid = f_prime.grid
-    q = f_prime.values
-    h = grid.h
-    sf = grid.s * q
-    dsf = np.empty_like(sf)
-    dsf[1:-1] = (sf[2:] - sf[:-2]) / (2 * h)
-    dsf[0] = (-3 * sf[0] + 4 * sf[1] - sf[2]) / (2 * h)
-    dsf[-1] = (3 * sf[-1] - 4 * sf[-2] + sf[-3]) / (2 * h)
-    dens = q ** (n - 1) * (dsf / grid.s)
-    bad = np.where(dens[1:-1] <= 0)[0]
-    if bad.size:
-        i = int(bad[0]) + 1
-        raise KahlerConeError(
-            f"non-positive Monge-Ampere density {dens[i]:.6g} at node {i} (s = {grid.s[i]:.6g})"
-        )
-    return RadialProfile(grid=grid, values=dens)
-
-
 class _BumpIntegral:
     """Cumulative quadrature K(s) = int_{s0-w}^{min(s, s0+w)} g(tau) dtau for a
-    smooth integrand g supported on the bump, via fixed Gauss-Legendre panels.
+    smooth integrand g supported on the bump, via PANELS fixed Gauss-Legendre
+    panels of ORDER nodes each.
 
     Panel edges line up with the support seams, so the integrand is smooth on
     every panel and the rule converges to machine accuracy.
     """
 
-    def __init__(self, integrand, lo: float, hi: float, panels: int = 64, order: int = 12):
+    PANELS = 64
+    ORDER = 12
+
+    def __init__(self, integrand, lo: float, hi: float):
         self.integrand = integrand
         self.lo, self.hi = lo, hi
-        self.edges = np.linspace(lo, hi, panels + 1)
-        self._nodes, self._weights = np.polynomial.legendre.leggauss(order)
-        partial = np.empty(panels)
-        for j in range(panels):
+        self.edges = np.linspace(lo, hi, self.PANELS + 1)
+        self._nodes, self._weights = np.polynomial.legendre.leggauss(self.ORDER)
+        partial = np.empty(self.PANELS)
+        for j in range(self.PANELS):
             a, b = self.edges[j], self.edges[j + 1]
             pts = 0.5 * (b - a) * self._nodes + 0.5 * (a + b)
             partial[j] = 0.5 * (b - a) * np.dot(self._weights, integrand(pts))
@@ -228,31 +202,30 @@ class _BumpIntegral:
         pts = 0.5 * (s - a) * self._nodes + 0.5 * (a + s)
         return float(self.prefix[j] + 0.5 * (s - a) * np.dot(self._weights, self.integrand(pts)))
 
-    def __call__(self, s):
-        if np.isscalar(s):
-            return self._scalar(float(s))
-        return np.array([self._scalar(float(v)) for v in np.asarray(s, dtype=float)])
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        return np.array([self._scalar(float(v)) for v in s])
 
 
-def _density_integral(config: PathConfig, t: float = 1.0) -> _BumpIntegral:
+def _density_integral(config: PathConfig) -> _BumpIntegral:
+    """K(s) for the integrand tau^{n-1} (e^{f0(tau)} - 1) of the first integral."""
     n = config.n
 
     def integrand(tau):
-        return tau ** (n - 1) * np.expm1(t * bump_values(config, tau))
+        return tau ** (n - 1) * np.expm1(bump_values(config, tau))
 
     return _BumpIntegral(integrand, config.s0 - config.w, config.s0 + config.w)
 
 
-def quadrature_oracle(config: PathConfig, grid: RadialGrid, t: float = 1.0) -> RadialProfile:
+def quadrature_oracle(config: PathConfig, grid: RadialGrid) -> RadialProfile:
     """Ground-truth f' from the first integral, exact up to quadrature error.
 
-    s^n (f')^n = C + n * int_0^s tau^{n-1} e^{t f0} dtau; splitting off the
+    s^n (f')^n = C + n * int_0^s tau^{n-1} e^{f0} dtau; splitting off the
     flat part of the integrand leaves a bump-supported quadrature done with
     Gauss panels, so the profile is accurate to near machine precision.
     """
     config.validate_against(grid)
     n = config.n
-    cum = _density_integral(config, t)
+    cum = _density_integral(config)
     running = config.calabi_c + n * cum(grid.s)
     radicand = 1.0 + running * grid.s ** (-float(n))
     if np.any(radicand <= 0):
@@ -263,10 +236,9 @@ def quadrature_oracle(config: PathConfig, grid: RadialGrid, t: float = 1.0) -> R
     return RadialProfile(grid=grid, values=radicand ** (1.0 / n))
 
 
-def oracle_effective_constant(config: PathConfig, t: float = 1.0) -> float:
+def oracle_effective_constant(config: PathConfig) -> float:
     """Tail constant of s^n((f')^n - 1): the class parameter shifted by the bump."""
-    cum = _density_integral(config, t)
-    return config.calabi_c + config.n * cum.total
+    return config.calabi_c + config.n * _density_integral(config).total
 
 
 @dataclass
@@ -424,8 +396,9 @@ def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
                 if g_new is None:
                     bad = "f' non-positive under every damping"
                 elif not np.all(w_new[1:-1] > 0):
-                    node = int(np.where(w_new[1:-1] <= 0)[0][0]) + 1
-                    bad = f"density non-positive at node {node} (s = {s[node]:.6g})"
+                    # "not > 0" rather than "<= 0": a NaN density must name its node too
+                    node = int(np.flatnonzero(~(w_new[1:-1] > 0))[0]) + 1
+                    bad = f"density not positive at node {node} (s = {s[node]:.6g})"
                 raise SolverFailure(f"Newton stalled at t = {t}: {bad}", trace)
             step.step_sizes.append(alpha)
             u = u + alpha * delta
@@ -465,16 +438,14 @@ class DecayFit:
         return 2.0 * self.exponent
 
 
-def decay_fit(
-    u: RadialProfile,
-    config: PathConfig,
-    *,
-    correction_only: bool = False,
-    amp_hi: float = 1e-3,
-    amp_lo: float = 1e-10,
-    support_margin: float = 3.0,
-    edge_fraction: float = 0.25,
-) -> DecayFit:
+# Bounds of the tail-fit window (see decay_fit).
+FIT_AMP_HI = 1e-3
+FIT_AMP_LO = 1e-10
+FIT_SUPPORT_MARGIN = 3.0
+FIT_EDGE_FRACTION = 0.25
+
+
+def decay_fit(u: RadialProfile, config: PathConfig, *, correction_only: bool = False) -> DecayFit:
     """Fit the far-field power of the solved potential.
 
     Writing f(s) = s + const + B s^p + ... , the derivative tail is
@@ -483,9 +454,10 @@ def decay_fit(
     eliminated by the differentiation.  With `correction_only` the fit
     target is f' - f'_bg, the tail of the correction u alone.
 
-    The window keeps clear of the bump support, of the outer boundary, of
-    amplitudes where the next tail order contaminates the model (> amp_hi)
-    and of amplitudes below the noise floor (< amp_lo).
+    The window keeps clear of the bump support (s > FIT_SUPPORT_MARGIN
+    (s0 + w) when c != 0), of the outer boundary (s < FIT_EDGE_FRACTION
+    s_max), of amplitudes where the next tail order contaminates the model
+    (> FIT_AMP_HI) and of amplitudes below the noise floor (< FIT_AMP_LO).
     """
     grid = u.grid
     s = grid.s
@@ -494,9 +466,9 @@ def decay_fit(
         target = q - calabi_profile(config.n, config.calabi_c, grid).values
     else:
         target = q - 1.0
-    lo_s = support_margin * (config.s0 + config.w) if config.c != 0 else 0.0
-    hi_s = grid.s_max * edge_fraction
-    mask = (s > lo_s) & (s < hi_s) & (np.abs(target) < amp_hi) & (np.abs(target) > amp_lo)
+    lo_s = FIT_SUPPORT_MARGIN * (config.s0 + config.w) if config.c != 0 else 0.0
+    hi_s = grid.s_max * FIT_EDGE_FRACTION
+    mask = (s > lo_s) & (s < hi_s) & (np.abs(target) < FIT_AMP_HI) & (np.abs(target) > FIT_AMP_LO)
     idx = np.where(mask)[0]
     if idx.size < 16:
         raise DecayFitError(f"only {idx.size} usable points in the fit window")
@@ -535,47 +507,37 @@ class MassReport:
     link_vol: float
     volume_integral: float        # int (1 - e^{f0}) dV over the background
     formula_a: float              # volume_integral / ((n-2) link_vol)
-    fitted_coefficient: float | None
+    fitted_coefficient: float
     ratio: float | None
-    fit: DecayFit | None
 
 
-def mass_integral(config: PathConfig, grid: RadialGrid, solution: RadialProfile | None = None) -> MassReport:
-    """Evaluate the mass normalization integral and compare with the solver.
+def mass_integral(config: PathConfig, u: RadialProfile) -> MassReport:
+    """Evaluate the mass normalization integral and compare it with the tail
+    of the solved correction u (from newton_continuity_solve).
 
     Only meaningful for n >= 3 (the normalization carries an n - 2 factor).
-    The reported ratio fitted/formula is the reproducible quantity; its value
-    absorbs convention factors that a purely radial model cannot pin down,
-    so constancy across bump amplitudes is what callers should test.  Pass a
-    previously solved correction through `solution` to avoid re-solving.
+    The fitted coefficient is the decay_fit of u alone (correction_only);
+    with no bump (c = 0) it is 0 and u is not read.  The reported ratio
+    fitted/formula is the reproducible quantity; its value absorbs
+    convention factors that a purely radial model cannot pin down, so
+    constancy across bump amplitudes is what callers should test.  Raises
+    DecayFitError when the tail of u leaves no usable fit window.
     """
     if config.n < 3:
         raise ValueError("mass normalization degenerates at n = 2; need n >= 3")
-    n = config.n
     radial = -0.5 * _density_integral(config).total
-    vol = link_volume(n, config.r_order)
-    volume_integral = vol * radial
-    formula_a = radial / (n - 2)
+    vol = link_volume(config.n, config.r_order)
+    formula_a = radial / (config.n - 2)
     if config.c == 0:
-        return MassReport(
-            radial_integral=radial,
-            link_vol=vol,
-            volume_integral=volume_integral,
-            formula_a=formula_a,
-            fitted_coefficient=0.0,
-            ratio=None,
-            fit=None,
-        )
-    if solution is None:
-        solution, _ = newton_continuity_solve(config, grid)
-    fit = decay_fit(solution, config, correction_only=True)
-    ratio = fit.coefficient / formula_a if formula_a != 0 else None
+        fitted, ratio = 0.0, None
+    else:
+        fitted = decay_fit(u, config, correction_only=True).coefficient
+        ratio = fitted / formula_a if formula_a != 0 else None
     return MassReport(
         radial_integral=radial,
         link_vol=vol,
-        volume_integral=volume_integral,
+        volume_integral=vol * radial,
         formula_a=formula_a,
-        fitted_coefficient=fit.coefficient,
+        fitted_coefficient=fitted,
         ratio=ratio,
-        fit=fit,
     )

@@ -26,10 +26,10 @@ from math import gcd, prod
 from .lattice import (
     IntVec,
     LatticeCone,
-    cone_coordinates,
     contains_in_interior,
     det,
     is_primitive,
+    pairing,
     unit_vector,
 )
 from .quotient import CyclicQuotient, SingularityData, singularity_data
@@ -117,10 +117,6 @@ def hj_continued_fraction(r: int, a: int) -> list[int]:
     return digits
 
 
-def _pair_beta(w: IntVec, gamma) -> Fraction:
-    return sum(Fraction(c) * g for c, g in zip(w, gamma))
-
-
 def hj_resolution(q: CyclicQuotient) -> ChainResolution:
     """Minimal resolution of 1/r(1, a), rays generated by the integer recurrence.
 
@@ -153,7 +149,7 @@ def hj_resolution(q: CyclicQuotient) -> ChainResolution:
             raise AssertionError(f"consecutive rays {chain[j]}, {chain[j+1]} span a non-unimodular cone")
     rays = []
     for w in chain[1:-1]:
-        beta = _pair_beta(w, data.gamma)
+        beta = pairing(w, data.gamma)
         if not (0 < beta <= 1):
             raise AssertionError(f"cone angle parameter {beta} for ray {w} outside (0, 1]")
         rays.append(ExceptionalRay(w=w, beta=beta))
@@ -198,21 +194,12 @@ def three_dim_family(r: int, a: int) -> FanSubdivision:
         LatticeCone((v, w2, w1)),
         LatticeCone((v, e2, w2)),
     )
-    beta1 = _pair_beta(w1, data.gamma)
-    beta2 = _pair_beta(w2, data.gamma)
+    beta1 = pairing(w1, data.gamma)
+    beta2 = pairing(w2, data.gamma)
     if beta1 != Fraction(2 + a, r) or beta2 != Fraction(2 * (r + 1) + a, a * r):
         raise AssertionError("pairing and closed-form cone angles disagree")
     rays = (ExceptionalRay(w=w1, beta=beta1), ExceptionalRay(w=w2, beta=beta2))
     return FanSubdivision(parent=data, cones=cones, rays=rays)
-
-
-def beta_as_coefficient_sum(w: IntVec, sigma: LatticeCone) -> Fraction:
-    """Cone angle parameter of an interior ray as the sum of its coordinates
-    with respect to the generators of sigma."""
-    coords = cone_coordinates(w, sigma)
-    if any(lam <= 0 for lam in coords):
-        raise ValueError(f"{w} is not interior to the cone (coordinates {coords})")
-    return sum(coords)
 
 
 RAY_THEOREM = "theorem-applicable"
@@ -242,14 +229,14 @@ def _classify(beta: Fraction) -> str:
     return RAY_POSITIVE
 
 
-def angle_condition(obj) -> AngleVerdict:
-    """Classify the rays of a chain, a subdivision, or a plain ray list.
+def angle_condition(obj: ChainResolution | FanSubdivision) -> AngleVerdict:
+    """Classify the exceptional rays of a chain or a fan subdivision.
 
     The strict angle window (0, 1) is what the existence theory asks for;
     beta = 1 rays are the crepant (smooth instanton) regime and are reported
     as such rather than failed.
     """
-    rays = obj.rays if isinstance(obj, (ChainResolution, FanSubdivision)) else tuple(obj)
+    rays = obj.rays
     labels = tuple(_classify(ray.beta) for ray in rays)
     if not labels:
         status = "no-rays"
@@ -283,7 +270,6 @@ class SubdivisionReport:
     """
 
     cone_determinants: tuple[int, ...]
-    unimodular: tuple[bool, ...]
     all_unimodular: bool
     covering_sum: Fraction | None
     covering_expected: int
@@ -330,11 +316,10 @@ def validate_subdivision(sub: FanSubdivision) -> SubdivisionReport:
     r = abs(sigma.determinant)
 
     dets = tuple(abs(cone.determinant) for cone in sub.cones)
-    unimodular = tuple(d == 1 for d in dets)
 
     covering_sum: Fraction | None = Fraction(0)
     for cone, d in zip(sub.cones, dets):
-        betas = [_pair_beta(g, data.gamma) for g in cone.generators]
+        betas = [pairing(g, data.gamma) for g in cone.generators]
         if min(betas) <= 0:
             covering_sum = None
             break
@@ -347,12 +332,11 @@ def validate_subdivision(sub: FanSubdivision) -> SubdivisionReport:
     if sigma.dim == 2:
         disjoint = _sector_disjointness(sub)
 
-    all_unimodular = all(unimodular) and bool(unimodular)
+    all_unimodular = bool(dets) and all(d == 1 for d in dets)
     all_interior = all(ray_interior)
     overall = all_unimodular and covering_ok and all_interior and disjoint is not False
     return SubdivisionReport(
         cone_determinants=dets,
-        unimodular=unimodular,
         all_unimodular=all_unimodular,
         covering_sum=covering_sum,
         covering_expected=r,
@@ -369,5 +353,5 @@ def build_subdivision(data: SingularityData, cones) -> FanSubdivision:
     generator of sigma is declared as an exceptional ray with beta = <w, gamma>."""
     sigma_gens = set(data.sigma.generators)
     seen = dict.fromkeys(g for cone in cones for g in cone.generators if g not in sigma_gens)
-    rays = tuple(ExceptionalRay(w=w, beta=_pair_beta(w, data.gamma)) for w in seen)
+    rays = tuple(ExceptionalRay(w=w, beta=pairing(w, data.gamma)) for w in seen)
     return FanSubdivision(parent=data, cones=tuple(cones), rays=rays)

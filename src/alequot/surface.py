@@ -51,10 +51,6 @@ class IntersectionMatrix:
     def size(self) -> int:
         return len(self.bs)
 
-    def rows(self) -> list[list[int]]:
-        k = self.size
-        return [[-self.bs[i] if i == j else int(abs(i - j) == 1) for j in range(k)] for i in range(k)]
-
     @cached_property
     def _continuants(self) -> tuple[list[int], list[int]]:
         """d[m], the leading minor of order m (d[0] = 1), and f[j], the
@@ -73,23 +69,10 @@ class IntersectionMatrix:
     def is_negative_definite(self) -> bool:
         return all((d > 0) == (m % 2 == 0) and d != 0 for m, d in enumerate(self.leading_minors(), 1))
 
-    def _entry(self, i: int, j: int) -> Fraction:
-        """Inverse entry (i, j), 0-based with i <= j, by the continuant formula."""
-        d, f = self._continuants
-        return Fraction((-1) ** (i + j) * d[i] * f[j + 2], d[-1])
-
     def inverse_row(self, i: int) -> list[Fraction]:
-        """Row i (0-based) of the exact inverse, O(k)."""
-        return [self._entry(min(i, j), max(i, j)) for j in range(self.size)]
-
-    def inverse(self) -> list[list[Fraction]]:
-        """Exact inverse; O(k^2) small integers, each entry built once."""
-        k = self.size
-        out = [[Fraction(0)] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(i, k):
-                out[i][j] = out[j][i] = self._entry(i, j)
-        return out
+        """Row i (0-based) of the exact inverse by the continuant formula, O(k)."""
+        d, f = self._continuants
+        return [Fraction((-1) ** (i + j) * d[min(i, j)] * f[max(i, j) + 2], d[-1]) for j in range(self.size)]
 
     def inverse_entries_nonpositive(self) -> bool:
         """O(k) proof that every entry of the inverse is <= 0 (in fact < 0).
@@ -103,22 +86,12 @@ class IntersectionMatrix:
         matrix with a non-negative inverse is a non-singular M-matrix, whose
         principal minors, leading and trailing alike, are all positive
         (Berman-Plemmons, Nonnegative Matrices in the Mathematical Sciences,
-        ch. 6).  So the check agrees with inspecting inverse() entry by entry.
+        ch. 6).  So the check agrees with inspecting every inverse_row(i)
+        entry by entry.
         """
         k = self.size
         _, f = self._continuants
         return self.is_negative_definite() and all(f[j] * (-1) ** (k - j + 1) > 0 for j in range(1, k + 1))
-
-
-def intersection_matrix(chain: ChainResolution) -> IntersectionMatrix:
-    """Intersection matrix of the chain; raises if the definiteness or inverse
-    sign certificates fail (they cannot for a genuine chain with b_j >= 2)."""
-    m = IntersectionMatrix(bs=chain.self_intersections)
-    if not m.is_negative_definite():
-        raise AssertionError(f"intersection matrix of {chain.self_intersections} is not negative definite")
-    if not m.inverse_entries_nonpositive():
-        raise AssertionError("intersection matrix inverse has a positive entry")
-    return m
 
 
 def adjunction_check(chain: ChainResolution) -> bool:

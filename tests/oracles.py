@@ -1,8 +1,11 @@
-"""Independent brute-force oracles used by the test suite only.
+"""Independent reference implementations used by the test suite only.
 
 Each function here recomputes something the library derives by a faster or
 smarter route, using a method with no shared code: exhaustive enumeration,
-permutation expansion, or dense rational elimination.
+permutation expansion, dense rational elimination, a coefficient-sum route
+to cone angles, or a direct finite-difference Monge-Ampere density.  Nothing
+here imports alequot, and numpy is imported inside the one function that
+needs it, so importing this module stays standard-library only.
 """
 
 from __future__ import annotations
@@ -73,6 +76,49 @@ def solve_fraction(rows, rhs):
                 a[row] = [x - f * y for x, y in zip(a[row], a[col])]
                 b[row] -= f * b[col]
     return b
+
+
+def beta_as_coefficient_sum(w, generators) -> Fraction:
+    """Cone angle parameter of a ray interior to the cone spanned by
+    `generators`: the sum of its coordinates in that basis, which equals
+    <w, gamma> because gamma pairs to 1 with every generator."""
+    coords = solve_fraction(generators, w)
+    if coords is None or any(lam <= 0 for lam in coords):
+        raise ValueError(f"{w} is not interior to the cone (coordinates {coords})")
+    return sum(coords)
+
+
+def tridiagonal_rows(bs) -> list[list[int]]:
+    """Intersection matrix of a chain with E_j^2 = -b_j: diagonal -b_j,
+    1 on both off-diagonals, 0 elsewhere."""
+    k = len(bs)
+    return [[-bs[i] if i == j else int(abs(i - j) == 1) for j in range(k)] for i in range(k)]
+
+
+def ma_density(s, h, f_prime, n: int):
+    """Discrete Monge-Ampere density (f')^{n-1} (f' + s f'') on a logarithmic
+    grid with nodes s and spacing h in x = log s.
+
+    The second factor is differenced as d(s f')/dx / s; differencing s f'
+    instead of f' itself keeps the cancellation error uniform where f' grows
+    like 1/s.  Second order, one-sided at the ends.  Raises ValueError on a
+    value that is not positive at an interior node.
+    """
+    import numpy as np
+
+    s = np.asarray(s, dtype=float)
+    q = np.asarray(f_prime, dtype=float)
+    sf = s * q
+    dsf = np.empty_like(sf)
+    dsf[1:-1] = (sf[2:] - sf[:-2]) / (2 * h)
+    dsf[0] = (-3 * sf[0] + 4 * sf[1] - sf[2]) / (2 * h)
+    dsf[-1] = (3 * sf[-1] - 4 * sf[-2] + sf[-3]) / (2 * h)
+    dens = q ** (n - 1) * (dsf / s)
+    bad = np.flatnonzero(~(dens[1:-1] > 0))
+    if bad.size:
+        i = int(bad[0]) + 1
+        raise ValueError(f"non-positive Monge-Ampere density {dens[i]:.6g} at node {i} (s = {s[i]:.6g})")
+    return dens
 
 
 def invert_fraction_matrix(rows):

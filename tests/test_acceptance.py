@@ -215,7 +215,8 @@ def test_criterion_9_mass_ratio_constancy():
     ratios = []
     for c in (-0.5, -0.25, -0.1):
         config = PathConfig(n=3, calabi_c=1.0, s0=5.0, w=2.0, c=c, r_order=7)
-        report = mass_integral(config, FINE)
+        u, _ = newton_continuity_solve(config, FINE)
+        report = mass_integral(config, u)
         ratios.append(report.ratio)
     spread = (max(ratios) - min(ratios)) / abs(sum(ratios) / len(ratios))
     ok = spread <= 0.02

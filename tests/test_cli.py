@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import alequot
 import alequot.cli as cli
 from alequot.cli import (
     check_subdivision_report,
@@ -189,6 +190,21 @@ def test_json_rationals_round_trip(tmp_path, capsys):
     assert len(gamma) == 2
 
 
+@pytest.mark.parametrize("c, code", [("nan", 2), ("inf", 2), ("1e308", 3)])
+def test_radial_non_finite_or_overflowing_value_is_a_clean_error(c, code, tmp_path, capsys):
+    # nan and inf are rejected at their line; 1e308 is finite but e^{t f0}
+    # overflows, so the Newton stall names the first node without a density
+    run = tmp_path / "run.txt"
+    run.write_text(f"n = 3\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = {c}\nnodes = 256\n")
+    assert main(["radial", str(run), "--json", "-"]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if code == 2:
+        assert captured.err == f"error: line 5: c must be finite, got '{c}'\n"
+    else:
+        assert "density not positive at node" in json.loads(captured.out)["solver"]["error"]
+
+
 def test_radial_solver_failure_exit_code(tmp_path, capsys):
     run = tmp_path / "run.txt"
     run.write_text(
@@ -234,3 +250,26 @@ def test_exact_reports_match_golden_digest(name, tmp_path, capsys):
         code = main(argv + ["--json", "-"])
         digest.update(f"{code}\n".encode() + capsys.readouterr().out.encode())
     assert digest.hexdigest() == GOLDEN_SHA256[name]
+
+
+PUBLIC_API = {
+    "AngleVerdict", "ChainResolution", "CyclicQuotient", "DecayFit", "DecayFitError",
+    "EnergyBreakdown", "ExceptionalRay", "FanSubdivision", "IntersectionMatrix",
+    "KahlerConeError", "LatticeCone", "MassReport", "PathConfig", "PathTrace", "RadialGrid",
+    "RadialProfile", "SingularityData", "SolverFailure", "StrataReport", "SubdivisionReport",
+    "adjunction_check", "angle_condition", "build_subdivision", "bump_values",
+    "calabi_profile", "chain_fan", "chain_strata", "cone_coordinates", "contains_in_interior",
+    "decay_fit", "det", "energy", "family_strata", "hj_continued_fraction", "hj_resolution",
+    "link_volume", "make_primitive", "mass_integral", "newton_continuity_solve",
+    "oracle_deviation", "oracle_effective_constant", "quadrature_oracle", "sigma_cone",
+    "singularity_data", "three_dim_family", "total_fprime", "unit_vector",
+    "validate_subdivision", "volume_density_inequality",
+}
+
+
+def test_public_api():
+    # growing or shrinking the flat API must be a deliberate edit of this set
+    assert len(PUBLIC_API) == 49
+    assert len(alequot.__all__) == len(set(alequot.__all__))
+    assert set(alequot.__all__) == PUBLIC_API
+    assert all(hasattr(alequot, name) for name in alequot.__all__)

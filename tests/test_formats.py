@@ -4,7 +4,6 @@ import pytest
 
 from alequot.formats import (
     ParseError,
-    parse_rational,
     parse_run_file,
     parse_subdivision_file,
     rational_str,
@@ -35,7 +34,7 @@ nodes = 256
 
 def test_rational_round_trip():
     for value in (Fraction(4, 7), Fraction(-3, 7), Fraction(5), Fraction(-19, 49), Fraction(0)):
-        assert parse_rational(rational_str(value)) == value
+        assert Fraction(rational_str(value)) == value
 
 
 def test_real_str_significant_digits():

@@ -8,7 +8,6 @@ from alequot.lattice import (
     cone_coordinates,
     contains_in_interior,
     det,
-    is_unimodular,
     make_primitive,
     unit_vector,
 )
@@ -129,12 +128,6 @@ def test_contains_in_interior():
     assert not contains_in_interior((7, 4), cone)       # boundary generator
     assert not contains_in_interior((0, 1), cone)
     assert not contains_in_interior((-1, 0), cone)
-
-
-def test_is_unimodular():
-    assert is_unimodular(LatticeCone(((1, 1), (0, 1))))
-    assert not is_unimodular(LatticeCone(((7, 4), (0, 1))))
-    assert is_unimodular(LatticeCone(tuple(unit_vector(i, 4) for i in range(4))))
 
 
 def test_det_equals_sublattice_index():

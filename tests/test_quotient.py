@@ -3,14 +3,7 @@ from fractions import Fraction
 import pytest
 
 from alequot.lattice import det
-from alequot.quotient import (
-    CyclicQuotient,
-    gamma,
-    gorenstein_index,
-    sigma_cone,
-    singularity_data,
-    volume_density,
-)
+from alequot.quotient import CyclicQuotient, sigma_cone, singularity_data
 from oracles import coprime_pairs
 
 
@@ -46,18 +39,18 @@ def test_sigma_cone_determinant_is_group_order():
 
 
 def test_gamma_examples():
-    assert gamma(CyclicQuotient(7, (3,))) == (Fraction(-3, 7), Fraction(1))
+    assert singularity_data(CyclicQuotient(7, (3,))).gamma == (Fraction(-3, 7), Fraction(1))
     # Gorenstein A-series: gamma integral
     for r in (2, 5, 9):
-        assert gamma(CyclicQuotient(r, (r - 1,))) == (Fraction(0), Fraction(1))
-    assert gamma(CyclicQuotient(7, (1, 4))) == (Fraction(-8, 7), Fraction(1), Fraction(1))
+        assert singularity_data(CyclicQuotient(r, (r - 1,))).gamma == (Fraction(0), Fraction(1))
+    assert singularity_data(CyclicQuotient(7, (1, 4))).gamma == (Fraction(-8, 7), Fraction(1), Fraction(1))
 
 
 def test_gamma_pairing_property_surface_sweep():
     # <g, gamma> = 1 for every generator, exhaustively for surfaces up to r = 200
     for r, a in coprime_pairs(200):
         q = CyclicQuotient(r, (a,))
-        g = gamma(q)
+        g = singularity_data(q).gamma
         for generator in sigma_cone(q).generators:
             assert sum(Fraction(c) * gc for c, gc in zip(generator, g)) == 1
 
@@ -70,27 +63,26 @@ def test_gamma_pairing_property_threefolds():
             if gcd(a3, r) != 1:
                 continue
             q = CyclicQuotient(r, (a2, a3))
-            g = gamma(q)
+            g = singularity_data(q).gamma
             for generator in sigma_cone(q).generators:
                 assert sum(Fraction(c) * gc for c, gc in zip(generator, g)) == 1
 
 
 def test_gorenstein_index():
-    assert gorenstein_index(CyclicQuotient(7, (3,))) == 7
-    assert gorenstein_index(CyclicQuotient(7, (1, 4))) == 7
+    assert singularity_data(CyclicQuotient(7, (3,))).gorenstein_index == 7
+    assert singularity_data(CyclicQuotient(7, (1, 4))).gorenstein_index == 7
     for r in (2, 3, 10):
-        assert gorenstein_index(CyclicQuotient(r, (r - 1,))) == 1
+        assert singularity_data(CyclicQuotient(r, (r - 1,))).gorenstein_index == 1
 
 
 def test_gorenstein_index_divides_r():
     for r, a in coprime_pairs(80):
-        assert r % gorenstein_index(CyclicQuotient(r, (a,))) == 0
+        assert r % singularity_data(CyclicQuotient(r, (a,))).gorenstein_index == 0
 
 
 def test_volume_density():
-    assert volume_density(CyclicQuotient(7, (3,))) == Fraction(1, 7)
-    assert volume_density(CyclicQuotient(2, (1,))) == Fraction(1, 2)
-    assert volume_density(CyclicQuotient(7, (1, 4))) == Fraction(1, 7)
+    for r, weights in ((7, (3,)), (2, (1,)), (7, (1, 4))):
+        assert singularity_data(CyclicQuotient(r, weights)).volume_density == Fraction(1, r)
 
 
 def test_singularity_data_bundle():

@@ -5,9 +5,7 @@ import pytest
 from alequot.lattice import LatticeCone, det
 from alequot.quotient import CyclicQuotient, singularity_data
 from alequot.resolution import (
-    ExceptionalRay,
     angle_condition,
-    beta_as_coefficient_sum,
     build_subdivision,
     chain_fan,
     hj_continued_fraction,
@@ -15,7 +13,7 @@ from alequot.resolution import (
     three_dim_family,
     validate_subdivision,
 )
-from oracles import coprime_pairs, hull_chain_rays
+from oracles import beta_as_coefficient_sum, coprime_pairs, hull_chain_rays
 
 
 def fold_continued_fraction(digits):
@@ -109,22 +107,22 @@ def test_beta_as_coefficient_sum_agrees_with_pairing():
         q = CyclicQuotient(r, (a,))
         data = singularity_data(q)
         for ray in hj_resolution(q).rays:
-            assert beta_as_coefficient_sum(ray.w, data.sigma) == ray.beta
+            assert beta_as_coefficient_sum(ray.w, data.sigma.generators) == ray.beta
 
 
 def test_beta_as_coefficient_sum_examples():
     data = singularity_data(CyclicQuotient(7, (3,)))
-    assert beta_as_coefficient_sum((1, 1), data.sigma) == Fraction(4, 7)
+    assert beta_as_coefficient_sum((1, 1), data.sigma.generators) == Fraction(4, 7)
     data3 = singularity_data(CyclicQuotient(7, (1, 4)))
-    assert beta_as_coefficient_sum((1, 1, 1), data3.sigma) == Fraction(6, 7)
+    assert beta_as_coefficient_sum((1, 1, 1), data3.sigma.generators) == Fraction(6, 7)
 
 
 def test_beta_as_coefficient_sum_rejects_boundary():
     data = singularity_data(CyclicQuotient(7, (3,)))
     with pytest.raises(ValueError):
-        beta_as_coefficient_sum((7, 4), data.sigma)
+        beta_as_coefficient_sum((7, 4), data.sigma.generators)
     with pytest.raises(ValueError):
-        beta_as_coefficient_sum((-1, 0), data.sigma)
+        beta_as_coefficient_sum((-1, 0), data.sigma.generators)
 
 
 def test_three_dim_family_worked_example():
@@ -156,7 +154,7 @@ def test_three_dim_family_scan():
             assert angle_condition(fan).theorem_applies
             # pairing and coefficient-sum routes agree on every ray
             for ray in fan.rays:
-                assert beta_as_coefficient_sum(ray.w, fan.parent.sigma) == ray.beta
+                assert beta_as_coefficient_sum(ray.w, fan.parent.sigma.generators) == ray.beta
             produced += 1
     assert produced > 20
 
@@ -178,9 +176,13 @@ def test_angle_condition_classifications():
     assert crepant.acceptable
     third = angle_condition(hj_resolution(CyclicQuotient(3, (1,))))
     assert third.theorem_applies and third.rays[0].beta == Fraction(2, 3)
-    synthetic = angle_condition([ExceptionalRay((1, 1), Fraction(3, 2))])
-    assert synthetic.status == "positive-discrepancy"
-    assert not synthetic.acceptable
+    # the ray (1, 2) lies outside sigma and pairs to 11/7 with gamma = (-3/7, 1)
+    data = singularity_data(CyclicQuotient(7, (3,)))
+    outside = build_subdivision(data, [LatticeCone(((0, 1), (1, 2))), LatticeCone(((1, 2), (7, 4)))])
+    positive = angle_condition(outside)
+    assert positive.rays[0].beta == Fraction(11, 7)
+    assert positive.status == "positive-discrepancy"
+    assert not positive.acceptable
 
 
 def test_validate_subdivision_trivial_fan():
@@ -199,7 +201,7 @@ def test_validate_subdivision_partial_fan():
     report = validate_subdivision(build_subdivision(data, cones))
     assert report.covering_ok and report.covering_sum == 7
     assert report.cone_determinants == (1, 3)
-    assert report.unimodular == (True, False)
+    assert not report.all_unimodular
     assert report.disjoint is True
     assert not report.overall
 
@@ -210,7 +212,7 @@ def test_validate_subdivision_full_chain_fan():
         report = validate_subdivision(fan)
         assert report.overall
         assert report.covering_sum == r
-        assert all(report.unimodular)
+        assert report.all_unimodular
 
 
 def test_validate_subdivision_detects_overlap_and_gap():

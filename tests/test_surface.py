@@ -1,7 +1,7 @@
 from fractions import Fraction
 from itertools import product
 
-from alequot.quotient import CyclicQuotient, volume_density
+from alequot.quotient import CyclicQuotient
 from alequot.resolution import ExceptionalRay, hj_resolution, three_dim_family
 from alequot.surface import (
     IntersectionMatrix,
@@ -9,21 +9,30 @@ from alequot.surface import (
     chain_strata,
     energy,
     family_strata,
-    intersection_matrix,
     volume_density_inequality,
 )
-from oracles import coprime_pairs, invert_fraction_matrix
+from oracles import coprime_pairs, det_by_permutations, invert_fraction_matrix, tridiagonal_rows
 
 
 def chain_for(r, a):
     return hj_resolution(CyclicQuotient(r, (a,)))
 
 
+def matrix_for(r, a):
+    return IntersectionMatrix(bs=chain_for(r, a).self_intersections)
+
+
+def inverse(m):
+    return [m.inverse_row(i) for i in range(m.size)]
+
+
 def test_intersection_matrix_entries():
-    m = intersection_matrix(chain_for(7, 3))
-    assert m.rows() == [[-3, 1, 0], [1, -2, 1], [0, 1, -2]]
-    single = intersection_matrix(chain_for(2, 1))
-    assert single.rows() == [[-2]]
+    m = matrix_for(7, 3)
+    rows = tridiagonal_rows(m.bs)
+    assert rows == [[-3, 1, 0], [1, -2, 1], [0, 1, -2]]
+    # the recurrence minors are the determinants of the dense leading blocks
+    assert m.leading_minors() == [det_by_permutations([row[:j] for row in rows[:j]]) for j in (1, 2, 3)]
+    assert tridiagonal_rows(matrix_for(2, 1).bs) == [[-2]]
 
 
 def test_leading_minors_and_determinant():
@@ -35,7 +44,7 @@ def test_leading_minors_and_determinant():
 
 def test_exact_inverse_of_worked_example():
     m = IntersectionMatrix(bs=(3, 2, 2))
-    inv = m.inverse()
+    inv = inverse(m)
     # Cramer on the tridiagonal matrix: first row (-3/7, -2/7, -1/7)
     assert inv[0] == [Fraction(-3, 7), Fraction(-2, 7), Fraction(-1, 7)]
     assert inv[1][1] == Fraction(-6, 7)
@@ -46,7 +55,7 @@ def test_exact_inverse_of_worked_example():
 def test_inverse_against_dense_elimination():
     for bs in [(2,), (3,), (3, 2, 2), (2, 2, 2, 2), (4, 2, 3), (5, 2, 2, 2, 3), (2, 3, 2, 4, 2, 2)]:
         m = IntersectionMatrix(bs=bs)
-        assert m.inverse() == invert_fraction_matrix(m.rows())
+        assert inverse(m) == invert_fraction_matrix(tridiagonal_rows(bs))
 
 
 def test_fast_sign_check_agrees_with_inverse():
@@ -56,14 +65,14 @@ def test_fast_sign_check_agrees_with_inverse():
         m = IntersectionMatrix(bs=bs)
         if m.determinant() == 0:
             continue
-        slow = all(entry <= 0 for row in m.inverse() for entry in row)
+        slow = all(entry <= 0 for row in inverse(m) for entry in row)
         assert m.inverse_entries_nonpositive() == slow, bs
 
 
 def test_inverse_identity_property():
     m = IntersectionMatrix(bs=(3, 2, 4, 2))
-    inv = m.inverse()
-    rows = m.rows()
+    inv = inverse(m)
+    rows = tridiagonal_rows(m.bs)
     k = m.size
     for i in range(k):
         for j in range(k):
@@ -73,13 +82,13 @@ def test_inverse_identity_property():
 
 def test_determinant_magnitude_is_group_order():
     for r, a in coprime_pairs(60):
-        m = intersection_matrix(chain_for(r, a))
+        m = matrix_for(r, a)
         assert abs(m.determinant()) == r
 
 
 def test_negative_definite_and_inverse_sweep():
     for r, a in coprime_pairs(100):
-        m = intersection_matrix(chain_for(r, a))
+        m = matrix_for(r, a)
         assert m.is_negative_definite()
         assert m.inverse_entries_nonpositive()
 
@@ -151,7 +160,7 @@ def test_energy_invariant_under_chain_reversal():
 
 def test_volume_density_inequality_chain():
     chain = chain_for(7, 3)
-    nu = volume_density(chain.quotient)
+    nu = chain.parent.volume_density
     report = volume_density_inequality(chain.rays, chain_strata(3), nu)
     assert report.overall
     products = {check.indices: check.product for check in report.strata}
