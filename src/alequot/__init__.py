@@ -44,31 +44,27 @@ from .surface import (
     family_strata,
     volume_density_inequality,
 )
-from .radial import (
-    DecayFit,
-    DecayFitError,
-    KahlerConeError,
-    MassReport,
-    PathConfig,
-    PathTrace,
-    RadialGrid,
-    RadialProfile,
-    SolverFailure,
-    bump_values,
-    calabi_profile,
-    decay_fit,
-    link_volume,
-    mass_integral,
-    newton_continuity_solve,
-    oracle_deviation,
-    oracle_effective_constant,
-    quadrature_oracle,
-    total_fprime,
+
+# The solver needs numpy and scipy, so its names load on first access: the
+# exact half runs on the standard library alone.
+_RADIAL_NAMES = (
+    "DecayFit", "DecayFitError", "KahlerConeError", "MassReport", "PathConfig", "PathTrace",
+    "RadialGrid", "RadialProfile", "SolverFailure", "bump_values", "calabi_profile", "decay_fit",
+    "link_volume", "mass_integral", "newton_continuity_solve", "oracle_deviation",
+    "oracle_effective_constant", "quadrature_oracle", "total_fprime",
 )
 
-# every public name imported above; the submodules themselves are not part of
-# the flat API
+
+def __getattr__(name: str):
+    if name not in _RADIAL_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import radial
+    value = globals()[name] = getattr(radial, name)
+    return value
+
+
+# every public name above; the submodules themselves are not part of the flat API
 __all__ = [
     name for name, value in globals().items()
     if not name.startswith("_") and not isinstance(value, _ModuleType)
-]
+] + list(_RADIAL_NAMES)

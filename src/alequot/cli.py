@@ -19,21 +19,13 @@ Exit codes, one meaning each:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import __version__
 from .formats import parse_run_file, parse_subdivision_file, rational_str, real_str
 from .quotient import CyclicQuotient, singularity_data
-from .radial import (
-    DecayFitError,
-    KahlerConeError,
-    SolverFailure,
-    decay_fit,
-    mass_integral,
-    newton_continuity_solve,
-    oracle_deviation,
-)
 from .resolution import (
     angle_condition,
     build_subdivision,
@@ -49,6 +41,26 @@ from .surface import (
     family_strata,
     volume_density_inequality,
 )
+
+# The solver names need numpy and scipy.  They are bound into this module on
+# first use, by radial_report or by attribute access, so the exact commands
+# never load either; a name that is already bound (patched, say) is kept.
+_RADIAL_NAMES = ("DecayFitError", "KahlerConeError", "SolverFailure", "decay_fit",
+                 "mass_integral", "newton_continuity_solve", "oracle_deviation")
+
+
+def _bind_radial() -> None:
+    from . import radial
+    for name in _RADIAL_NAMES:
+        globals().setdefault(name, getattr(radial, name))
+
+
+def __getattr__(name: str):
+    if name not in _RADIAL_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_radial()
+    return globals()[name]
+
 
 PASS, FAIL, NA = "pass", "fail", "not-applicable"
 
@@ -75,7 +87,7 @@ def _angle_certificate(verdict) -> dict:
         "verdict": v,
         "status": verdict.status,
         "per_ray": list(verdict.labels),
-        "beta": [rational_str(ray.beta) for ray in verdict.rays],
+        "beta": [rational_str(ray.num, ray.den) for ray in verdict.rays],
     }
 
 
@@ -86,7 +98,7 @@ def _strata_certificate(report) -> dict:
         "strata": [
             {
                 "rays": list(chk.indices),
-                "product": rational_str(chk.product),
+                "product": rational_str(chk.num, chk.den),
                 "strict": chk.strict,
             }
             for chk in report.strata
@@ -105,7 +117,7 @@ def _exact_report(command: str, inputs: dict, data, body: dict, certificates: di
         "meta": _meta(command),
         "input": inputs,
         "singularity": {
-            "gamma": [rational_str(g) for g in data.gamma],
+            "gamma": [rational_str(x, data.quotient.r) for x in data.r_gamma],
             "gorenstein_index": data.gorenstein_index,
             "volume_density": rational_str(data.volume_density),
         },
@@ -140,10 +152,10 @@ def _subdivision_section(fan, discrepancies: bool) -> dict:
     section = {
         "cones": [[list(g) for g in cone.generators] for cone in fan.cones],
         "rays": [list(ray.w) for ray in fan.rays],
-        "beta": [rational_str(ray.beta) for ray in fan.rays],
+        "beta": [rational_str(ray.num, ray.den) for ray in fan.rays],
     }
     if discrepancies:
-        section["discrepancies"] = [rational_str(ray.discrepancy) for ray in fan.rays]
+        section["discrepancies"] = [rational_str(ray.num - ray.den, ray.den) for ray in fan.rays]
     return {"subdivision": section}
 
 
@@ -163,7 +175,7 @@ def resolve2d_report(r: int, a: int) -> tuple[dict, int]:
         },
         "inverse_nonpositive": {
             "verdict": _verdict(im.inverse_entries_nonpositive()),
-            "inverse_first_row": [rational_str(x) for x in im.inverse_row(0)],
+            "inverse_first_row": [rational_str(x, im.determinant()) for x in im.adjugate_row(0)],
         },
         "adjunction": {
             "verdict": _verdict(adjunction_check(chain)),
@@ -175,16 +187,16 @@ def resolve2d_report(r: int, a: int) -> tuple[dict, int]:
         "rays": [list(ray.w) for ray in chain.rays],
         "self_intersections": list(chain.self_intersections),
         "continued_fraction": list(chain.self_intersections),
-        "beta": [rational_str(b) for b in chain.betas],
-        "discrepancies": [rational_str(ray.discrepancy) for ray in chain.rays],
+        "beta": [rational_str(ray.num, ray.den) for ray in chain.rays],
+        "discrepancies": [rational_str(ray.num - ray.den, ray.den) for ray in chain.rays],
     }
     tail = {
         "energy": {
             "chi": bk.chi_x,
-            "curve_terms": [rational_str(x) for x in bk.curve_terms],
-            "node_terms": [rational_str(x) for x in bk.node_terms],
-            "group_term": rational_str(bk.group_term),
-            "total": rational_str(bk.total),
+            "curve_terms": [rational_str(x, bk.den) for x in bk.curve_nums],
+            "node_terms": [rational_str(x, bk.den**2) for x in bk.node_nums],
+            "group_term": rational_str(bk.group_num, bk.den),
+            "total": rational_str(bk.total_num, bk.den**2),
             "conditional": bk.conditional,
         },
         "notes": [GAMMA_NOTE] + ([ENERGY_NOTE] if bk.conditional else []),
@@ -224,6 +236,7 @@ ORACLE_CERT_TOL = 1e-6
 
 
 def radial_report(text: str) -> tuple[dict, int]:
+    _bind_radial()
     config, grid = parse_run_file(text)
     echo = {
         "n": config.n,
@@ -390,6 +403,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="alequot", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

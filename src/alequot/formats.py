@@ -26,7 +26,6 @@ from fractions import Fraction
 
 from .lattice import LatticeCone
 from .quotient import CyclicQuotient
-from .radial import PathConfig, RadialGrid
 
 
 class ParseError(ValueError):
@@ -37,8 +36,17 @@ class ParseError(ValueError):
         self.line = line
 
 
-def rational_str(value: Fraction | int) -> str:
-    return str(Fraction(value))
+def rational_str(num: Fraction | int, den: int = 1) -> str:
+    """The exact value num / den as "p/q" in lowest terms with q > 0, or "p"
+    when q = 1, the text str(Fraction(num, den)) gives.  An int numerator and
+    denominator are reduced here without building a Fraction; a Fraction
+    (with den = 1) is printed as it is."""
+    if den != 1:
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        num, den = num // g, den // g
+        if den != 1:
+            return f"{num}/{den}"
+    return str(num)
 
 
 def real_str(value: float) -> float:
@@ -144,6 +152,7 @@ _RUN_DEFAULTS = {
 
 def parse_run_file(text: str) -> tuple[PathConfig, RadialGrid]:
     """Parse a flat key = value run file into a PathConfig and its grid."""
+    from .radial import PathConfig, RadialGrid  # numpy/scipy load with the first run file
     seen: dict[str, object] = {}
     for lineno, line in _content_lines(text):
         if "=" not in line:

@@ -134,10 +134,15 @@ def cone_coordinates(w: IntVec, cone: LatticeCone) -> RatVec:
 
 
 def contains_in_interior(w: IntVec, cone: LatticeCone) -> bool:
-    """True iff all cone coordinates of w are strictly positive."""
-    return all(lam > 0 for lam in cone_coordinates(w, cone))
+    """True iff all cone coordinates of w are strictly positive.
+
+    By Cramer's rule lambda_i = det(g_1, .., w, .., g_n) / det(g_1, .., g_n)
+    with w in slot i, so this compares integer determinant signs."""
+    gens = cone.generators
+    d = det(gens)
+    return all(det(gens[:i] + (w,) + gens[i + 1:]) * d > 0 for i in range(len(gens)))
 
 
-def pairing(w: IntVec, gamma: RatVec) -> Fraction:
-    """Exact pairing <w, gamma> of an integer vector with a rational covector."""
-    return sum(Fraction(c) * g for c, g in zip(w, gamma))
+def pairing(w: IntVec, covector: IntVec) -> int:
+    """Exact pairing <w, c> of integer vectors; <w, r gamma> is r * beta(w)."""
+    return sum(a * b for a, b in zip(w, covector))

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .lattice import LatticeCone, RatVec, pairing, unit_vector
+from .lattice import IntVec, LatticeCone, pairing, unit_vector
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,18 @@ class CyclicQuotient:
 
 @dataclass(frozen=True)
 class SingularityData:
-    """Derived toric package of a cyclic quotient: cone, gamma, index, density."""
+    """Derived toric package of a cyclic quotient: cone, gamma, index, density.
+
+    gamma is kept as the integer covector r * gamma, so the cone angle
+    parameter of a ray w is the integer <w, r gamma> over r."""
 
     quotient: CyclicQuotient
     sigma: LatticeCone
-    gamma: RatVec
+    r_gamma: IntVec             # r * gamma, integral
     gorenstein_index: int       # smallest l >= 1 with l * gamma integral
     volume_density: Fraction    # vol(S^{2n-1}/mu_r) / vol(S^{2n-1}) = 1/r
+
+    gamma = property(lambda self: tuple(Fraction(x, self.quotient.r) for x in self.r_gamma))
 
 
 def sigma_cone(q: CyclicQuotient) -> LatticeCone:
@@ -78,15 +83,15 @@ def singularity_data(q: CyclicQuotient) -> SingularityData:
     transcription slip in either route cannot pass silently.
     """
     sigma = sigma_cone(q)
-    g = (Fraction(1 + sum(a - q.r for a in q.weights), q.r),) + (Fraction(1),) * (q.dim - 1)
+    r_gamma = (1 + sum(a - q.r for a in q.weights),) + (q.r,) * (q.dim - 1)
     for generator in sigma.generators:
-        value = pairing(generator, g)
-        if value != 1:
-            raise AssertionError(f"gamma self-check failed: <{generator}, gamma> = {value} != 1")
+        value = pairing(generator, r_gamma)
+        if value != q.r:
+            raise AssertionError(f"gamma self-check failed: <{generator}, r gamma> = {value} != r = {q.r}")
     return SingularityData(
         quotient=q,
         sigma=sigma,
-        gamma=g,
-        gorenstein_index=lcm(*(entry.denominator for entry in g)),
+        r_gamma=r_gamma,
+        gorenstein_index=q.r // gcd(q.r, *r_gamma),
         volume_density=Fraction(1, q.r),
     )

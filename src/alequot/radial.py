@@ -345,6 +345,9 @@ def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
     qb = calabi_profile(n, config.calabi_c, grid).values
     swb = s * qb ** (1 - n)  # s * (f'_bg + s f''_bg) via the exact density identity
     f0 = bump_values(config, s)
+    if np.max(f0) > (limit := math.log(np.finfo(float).max)):  # e^{t f0}, t <= 1, overflows
+        raise SolverFailure(f"bump overflows: max f0 = {np.max(f0):.6g} exceeds log(float max) = "
+                            f"{limit:.6g}, so e^(t f0) is not finite in floating point")
 
     def residual(u, rhs):
         ux = d1 @ u

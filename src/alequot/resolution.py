@@ -21,32 +21,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, prod
+from math import gcd, lcm, prod
 
-from .lattice import (
-    IntVec,
-    LatticeCone,
-    contains_in_interior,
-    det,
-    is_primitive,
-    pairing,
-    unit_vector,
-)
+from .lattice import IntVec, LatticeCone, contains_in_interior, is_primitive, pairing, unit_vector
 from .quotient import CyclicQuotient, SingularityData, singularity_data
 
 
 @dataclass(frozen=True)
 class ExceptionalRay:
-    """A primitive interior ray with its cone angle parameter beta = <w, gamma>."""
+    """A primitive interior ray with its cone angle parameter beta = <w, gamma>,
+    kept exact as beta = num / den with den > 0.  The rays of a resolution of
+    1/r(...) have num = <w, r gamma> and den = r."""
 
     w: IntVec
-    beta: Fraction
+    num: int
+    den: int
 
     def __post_init__(self):
         object.__setattr__(self, "w", tuple(self.w))
-        object.__setattr__(self, "beta", Fraction(self.beta))
         if not is_primitive(self.w):
             raise ValueError(f"ray vector {self.w} is not primitive")
+        if self.den <= 0:
+            raise ValueError(f"beta denominator must be positive, got {self.den}")
+
+    beta = property(lambda self: Fraction(self.num, self.den))
 
     @property
     def discrepancy(self) -> Fraction:
@@ -136,23 +134,18 @@ def hj_resolution(q: CyclicQuotient) -> ChainResolution:
         prev, cur = chain[-2], chain[-1]
         chain.append((b * cur[0] - prev[0], b * cur[1] - prev[1]))
     chain.append(v)
-    k = len(digits)
-    for j in range(1, k + 1):
-        b = digits[j - 1]
-        if (
-            chain[j - 1][0] + chain[j + 1][0] != b * chain[j][0]
-            or chain[j - 1][1] + chain[j + 1][1] != b * chain[j][1]
-        ):
+    for j, (b, prev, cur, nxt) in enumerate(zip(digits, chain, chain[1:], chain[2:]), 1):
+        if prev[0] + nxt[0] != b * cur[0] or prev[1] + nxt[1] != b * cur[1]:
             raise AssertionError(f"chain recurrence failed at position {j} for 1/{r}(1,{a})")
-    for j in range(k + 1):
-        if abs(det([chain[j], chain[j + 1]])) != 1:
-            raise AssertionError(f"consecutive rays {chain[j]}, {chain[j+1]} span a non-unimodular cone")
+    for (p0, p1), (q0, q1) in zip(chain, chain[1:]):
+        if abs(p0 * q1 - p1 * q0) != 1:
+            raise AssertionError(f"consecutive rays {(p0, p1)}, {(q0, q1)} span a non-unimodular cone")
     rays = []
     for w in chain[1:-1]:
-        beta = pairing(w, data.gamma)
-        if not (0 < beta <= 1):
-            raise AssertionError(f"cone angle parameter {beta} for ray {w} outside (0, 1]")
-        rays.append(ExceptionalRay(w=w, beta=beta))
+        num = pairing(w, data.r_gamma)
+        if not (0 < num <= r):
+            raise AssertionError(f"cone angle parameter {num}/{r} for ray {w} outside (0, 1]")
+        rays.append(ExceptionalRay(w=w, num=num, den=r))
     return ChainResolution(parent=data, rays=tuple(rays), self_intersections=tuple(digits))
 
 
@@ -194,11 +187,10 @@ def three_dim_family(r: int, a: int) -> FanSubdivision:
         LatticeCone((v, w2, w1)),
         LatticeCone((v, e2, w2)),
     )
-    beta1 = pairing(w1, data.gamma)
-    beta2 = pairing(w2, data.gamma)
-    if beta1 != Fraction(2 + a, r) or beta2 != Fraction(2 * (r + 1) + a, a * r):
+    num1, num2 = pairing(w1, data.r_gamma), pairing(w2, data.r_gamma)
+    if num1 != 2 + a or a * num2 != 2 * (r + 1) + a:
         raise AssertionError("pairing and closed-form cone angles disagree")
-    rays = (ExceptionalRay(w=w1, beta=beta1), ExceptionalRay(w=w2, beta=beta2))
+    rays = (ExceptionalRay(w=w1, num=num1, den=r), ExceptionalRay(w=w2, num=num2, den=r))
     return FanSubdivision(parent=data, cones=cones, rays=rays)
 
 
@@ -219,12 +211,12 @@ class AngleVerdict:
     acceptable: bool       # every beta inside (0, 1]; crepant rays allowed
 
 
-def _classify(beta: Fraction) -> str:
-    if beta <= 0:
+def _classify(ray: ExceptionalRay) -> str:
+    if ray.num <= 0:
         return RAY_NON_KLT
-    if beta < 1:
+    if ray.num < ray.den:
         return RAY_THEOREM
-    if beta == 1:
+    if ray.num == ray.den:
         return RAY_CREPANT
     return RAY_POSITIVE
 
@@ -237,7 +229,7 @@ def angle_condition(obj: ChainResolution | FanSubdivision) -> AngleVerdict:
     as such rather than failed.
     """
     rays = obj.rays
-    labels = tuple(_classify(ray.beta) for ray in rays)
+    labels = tuple(_classify(ray) for ray in rays)
     if not labels:
         status = "no-rays"
     elif any(lab == RAY_NON_KLT for lab in labels):
@@ -317,13 +309,14 @@ def validate_subdivision(sub: FanSubdivision) -> SubdivisionReport:
 
     dets = tuple(abs(cone.determinant) for cone in sub.cones)
 
-    covering_sum: Fraction | None = Fraction(0)
-    for cone, d in zip(sub.cones, dets):
-        betas = [pairing(g, data.gamma) for g in cone.generators]
-        if min(betas) <= 0:
-            covering_sum = None
-            break
-        covering_sum += Fraction(d) / prod(betas)
+    # d / prod(beta_g) = d r^n / prod <g, r gamma>, summed over one denominator
+    pairings = [[pairing(g, data.r_gamma) for g in cone.generators] for cone in sub.cones]
+    covering_sum: Fraction | None = None
+    if all(min(nums) > 0 for nums in pairings):
+        den = lcm(*(prod(nums) for nums in pairings))
+        scale = data.quotient.r ** sigma.dim
+        terms = (d * scale * (den // prod(nums)) for d, nums in zip(dets, pairings))
+        covering_sum = Fraction(sum(terms), den)
     covering_ok = covering_sum == r
 
     ray_interior = tuple(contains_in_interior(ray.w, sigma) for ray in sub.rays)
@@ -353,5 +346,5 @@ def build_subdivision(data: SingularityData, cones) -> FanSubdivision:
     generator of sigma is declared as an exceptional ray with beta = <w, gamma>."""
     sigma_gens = set(data.sigma.generators)
     seen = dict.fromkeys(g for cone in cones for g in cone.generators if g not in sigma_gens)
-    rays = tuple(ExceptionalRay(w=w, beta=pairing(w, data.gamma)) for w in seen)
+    rays = tuple(ExceptionalRay(w=w, num=pairing(w, data.r_gamma), den=data.quotient.r) for w in seen)
     return FanSubdivision(parent=data, cones=tuple(cones), rays=rays)

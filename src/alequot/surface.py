@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm, prod
 
 from .resolution import ChainResolution, ExceptionalRay
 
@@ -69,10 +70,14 @@ class IntersectionMatrix:
     def is_negative_definite(self) -> bool:
         return all((d > 0) == (m % 2 == 0) and d != 0 for m, d in enumerate(self.leading_minors(), 1))
 
-    def inverse_row(self, i: int) -> list[Fraction]:
-        """Row i (0-based) of the exact inverse by the continuant formula, O(k)."""
+    def adjugate_row(self, i: int) -> list[int]:
+        """Row i (0-based) of determinant() * M^{-1}, integral, O(k)."""
         d, f = self._continuants
-        return [Fraction((-1) ** (i + j) * d[min(i, j)] * f[max(i, j) + 2], d[-1]) for j in range(self.size)]
+        return [(-1) ** (i + j) * d[min(i, j)] * f[max(i, j) + 2] for j in range(self.size)]
+
+    def inverse_row(self, i: int) -> list[Fraction]:
+        """Row i (0-based) of the exact inverse, O(k)."""
+        return [Fraction(x, self.determinant()) for x in self.adjugate_row(i)]
 
     def inverse_entries_nonpositive(self) -> bool:
         """O(k) proof that every entry of the inverse is <= 0 (in fact < 0).
@@ -94,71 +99,69 @@ class IntersectionMatrix:
         return self.is_negative_definite() and all(f[j] * (-1) ** (k - j + 1) > 0 for j in range(1, k + 1))
 
 
+def _numerators(chain: ChainResolution) -> tuple[int, list[int]]:
+    """(D, [D beta_j]): the least common denominator D of 1/r and the betas,
+    which is r for a resolution, and every beta as an integer over it."""
+    den = lcm(chain.quotient.r, *(ray.den for ray in chain.rays))
+    return den, [ray.num * (den // ray.den) for ray in chain.rays]
+
+
 def adjunction_check(chain: ChainResolution) -> bool:
     """Verify sum_j (beta_j - 1) (E_j . E_i) = b_i - 2 exactly for every i.
 
     This is adjunction on each curve: deg K_{E_i} = -2 and K_X . E_i picks up
-    the discrepancies against the i-th row of the intersection matrix.
+    the discrepancies against the i-th row of the intersection matrix.  Over
+    the common denominator D of the betas it is the integer identity
+    sum_j (n_j - D) (E_j . E_i) = (b_i - 2) D with n_j = D beta_j.
     """
-    betas = chain.betas
-    bs = chain.self_intersections
-    k = len(bs)
-    for i in range(k):
-        total = (betas[i] - 1) * (-bs[i])
-        if i > 0:
-            total += betas[i - 1] - 1
-        if i + 1 < k:
-            total += betas[i + 1] - 1
-        if total != bs[i] - 2:
-            return False
-    return True
+    den, nums = _numerators(chain)
+    m = [0] + [x - den for x in nums] + [0]  # D (beta_j - 1), padded by zeros
+    return all(
+        m[i - 1] - b * m[i] + m[i + 1] == (b - 2) * den for i, b in enumerate(chain.self_intersections, 1)
+    )
 
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Terms of the curvature energy of a chain resolution, all exact."""
+    """Terms of the curvature energy of a chain resolution, all exact: integers
+    over `den` (the group order r for a resolution) for the curve and group
+    terms, over den^2 for the node terms and the total, and Fraction views."""
 
     chi_x: int
-    curve_terms: tuple[Fraction, ...]
-    node_terms: tuple[Fraction, ...]
-    group_term: Fraction
-    total: Fraction
+    den: int
+    curve_nums: tuple[int, ...]
+    node_nums: tuple[int, ...]
+    group_num: int
+    total_num: int
     conditional: bool  # node terms rest on the normal-crossing tube limit
+
+    curve_terms = property(lambda self: tuple(Fraction(x, self.den) for x in self.curve_nums))
+    node_terms = property(lambda self: tuple(Fraction(x, self.den**2) for x in self.node_nums))
+    group_term = property(lambda self: Fraction(self.group_num, self.den))
+    total = property(lambda self: Fraction(self.total_num, self.den**2))
 
 
 def energy(chain: ChainResolution) -> EnergyBreakdown:
     """Curvature energy of the chain: chi(X) = k + 1, end curves have
     chi(E*) = 1 and interior curves 0 (a single curve keeps chi = 2)."""
-    betas = chain.betas
-    k = len(betas)
-    chi_x = k + 1
-    curve_terms = []
-    for j in range(k):
-        if k == 1:
-            chi_star = 2
-        elif j in (0, k - 1):
-            chi_star = 1
-        else:
-            chi_star = 0
-        curve_terms.append((betas[j] - 1) * chi_star)
-    node_terms = [betas[j] * betas[j + 1] - 1 for j in range(k - 1)]
-    group_term = -Fraction(1, chain.quotient.r)
-    total = chi_x + sum(curve_terms, Fraction(0)) + sum(node_terms, Fraction(0)) + group_term
-    return EnergyBreakdown(
-        chi_x=chi_x,
-        curve_terms=tuple(curve_terms),
-        node_terms=tuple(node_terms),
-        group_term=group_term,
-        total=total,
-        conditional=k > 1,
-    )
+    den, nums = _numerators(chain)
+    k = len(nums)
+    chi_star = [2] if k == 1 else [1] + [0] * (k - 2) + [1]
+    curve_nums = tuple((x - den) * chi for x, chi in zip(nums, chi_star))
+    node_nums = tuple(x * y - den * den for x, y in zip(nums, nums[1:]))
+    group_num = -(den // chain.quotient.r)
+    total_num = ((k + 1) * den + sum(curve_nums) + group_num) * den + sum(node_nums)
+    return EnergyBreakdown(k + 1, den, curve_nums, node_nums, group_num, total_num, conditional=k > 1)
 
 
 @dataclass(frozen=True)
 class StratumCheck:
     indices: tuple[int, ...]         # 0-based ray indices of the stratum
-    product: Fraction                # product of the beta over the stratum
+    num: int                         # num / den is the product of the
+    den: int                         # beta over the stratum
     strict: bool                     # product > nu strictly
+
+    product = property(lambda self: Fraction(self.num, self.den))
 
 
 @dataclass(frozen=True)
@@ -188,8 +191,8 @@ def volume_density_inequality(
     density of the cone at infinity, strictly."""
     checks = []
     for stratum in strata:
-        product = Fraction(1)
-        for idx in stratum:
-            product *= rays[idx].beta
-        checks.append(StratumCheck(indices=tuple(stratum), product=product, strict=product > nu))
+        num = prod(rays[idx].num for idx in stratum)
+        den = prod(rays[idx].den for idx in stratum)
+        strict = num * nu.denominator > nu.numerator * den
+        checks.append(StratumCheck(indices=tuple(stratum), num=num, den=den, strict=strict))
     return StrataReport(nu=nu, strata=tuple(checks), overall=all(c.strict for c in checks))

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +170,50 @@ def test_main_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    argv = ["resolve2d", "7", "3", "--json", "-"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(["resolve2d", "7", "--json", "-"]) == 2   # missing argument
+    assert main(["no-such-command", "7", "3"]) == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert cli.build_parser() is cli.build_parser()
+
+
+EXACT_ONLY_SCRIPT = """
+import contextlib, io, sys
+from alequot.cli import main
+
+runs = [["resolve2d", "7", "3"], ["resolve3d", "7", "4"], ["check-subdivision", sys.argv[1]],
+        ["sweep2d", "10"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv + ["--json", "-"]) for argv in runs]
+assert codes == [0, 0, 0, 0], codes
+loaded = [name for name in ("numpy", "scipy") if name in sys.modules]
+assert not loaded, f"exact commands loaded {loaded}"
+
+import alequot
+assert callable(alequot.newton_continuity_solve)
+namespace = {}
+exec("from alequot import *", namespace)
+assert set(alequot.__all__) <= set(namespace), set(alequot.__all__) - set(namespace)
+"""
+
+
+def test_exact_commands_run_on_the_standard_library_alone(tmp_path):
+    fan = tmp_path / "fan74.txt"
+    fan.write_text(FAN_74)
+    src = str(Path(alequot.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", EXACT_ONLY_SCRIPT, str(fan)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_json_reports_are_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -190,10 +238,14 @@ def test_json_rationals_round_trip(tmp_path, capsys):
     assert len(gamma) == 2
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 @pytest.mark.parametrize("c, code", [("nan", 2), ("inf", 2), ("1e308", 3)])
 def test_radial_non_finite_or_overflowing_value_is_a_clean_error(c, code, tmp_path, capsys):
     # nan and inf are rejected at their line; 1e308 is finite but e^{t f0}
-    # overflows, so the Newton stall names the first node without a density
+    # overflows, which the solver names before its first Newton step
     run = tmp_path / "run.txt"
     run.write_text(f"n = 3\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = {c}\nnodes = 256\n")
     assert main(["radial", str(run), "--json", "-"]) == code
@@ -202,7 +254,8 @@ def test_radial_non_finite_or_overflowing_value_is_a_clean_error(c, code, tmp_pa
     if code == 2:
         assert captured.err == f"error: line 5: c must be finite, got '{c}'\n"
     else:
-        assert "density not positive at node" in json.loads(captured.out)["solver"]["error"]
+        report = json.loads(captured.out, parse_constant=_reject_constant)
+        assert report["solver"]["error"].startswith("bump overflows: max f0 = ")
 
 
 def test_radial_solver_failure_exit_code(tmp_path, capsys):

@@ -119,6 +119,8 @@ def test_cone_coordinates_round_trip():
             sum(lam * g[i] for lam, g in zip(lams, cone.generators)) for i in range(n)
         )
         assert rebuilt == tuple(Fraction(e) for e in w)
+        # the integer Cramer signs agree with the Fraction elimination
+        assert contains_in_interior(w, cone) == all(lam > 0 for lam in lams)
         built += 1
 
 

@@ -113,7 +113,8 @@ def test_adjunction_fails_under_beta_mutation():
     for idx in range(3):
         for eps in (Fraction(1, 1000), Fraction(-1, 997)):
             rays = list(chain.rays)
-            rays[idx] = ExceptionalRay(rays[idx].w, rays[idx].beta + eps)
+            beta = rays[idx].beta + eps
+            rays[idx] = ExceptionalRay(rays[idx].w, beta.numerator, beta.denominator)
             mutated = type(chain)(
                 parent=chain.parent,
                 rays=tuple(rays),
@@ -186,7 +187,7 @@ def test_volume_density_inequality_family():
 
 
 def test_volume_density_inequality_can_fail():
-    rays = (ExceptionalRay((1, 1), Fraction(1, 9)),)
+    rays = (ExceptionalRay((1, 1), 1, 9),)
     report = volume_density_inequality(rays, [(0,)], Fraction(1, 7))
     assert not report.overall
     assert not report.strata[0].strict
