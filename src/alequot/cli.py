@@ -333,6 +333,8 @@ def radial_report(text: str) -> tuple[dict, int]:
 def sweep2d_report(r_max: int) -> tuple[dict, int]:
     from math import gcd
 
+    if r_max < 2:  # no pair to certify: a pass would be vacuous
+        raise ValueError(f"RMAX must be at least 2, got {r_max}")
     counts: dict[str, dict[str, int]] = {}
     failures: list[dict] = []
     runs = 0
@@ -357,25 +359,25 @@ def sweep2d_report(r_max: int) -> tuple[dict, int]:
     return report, 1 if failures else 0
 
 
-def _print_human(report: dict, stream=sys.stdout) -> None:
+def _print_human(report: dict) -> None:
     meta = report.get("meta", {})
-    print(f"{meta.get('tool', 'alequot')} {meta.get('command', '')}", file=stream)
+    print(f"{meta.get('tool', 'alequot')} {meta.get('command', '')}")
     for section in ("input", "singularity", "resolution", "subdivision", "solver", "oracle", "decay", "mass", "energy"):
         body = report.get(section)
         if body is None:
             continue
         parts = ", ".join(f"{k}={v}" for k, v in body.items())
-        print(f"  {section}: {parts}", file=stream)
+        print(f"  {section}: {parts}")
     if "runs" in report:
-        print(f"  runs: {report['runs']}", file=stream)
+        print(f"  runs: {report['runs']}")
         for name, bucket in report.get("certificates", {}).items():
-            print(f"  certificate {name}: {bucket}", file=stream)
-        print(f"  failures: {report.get('failures', [])}", file=stream)
+            print(f"  certificate {name}: {bucket}")
+        print(f"  failures: {report.get('failures', [])}")
     else:
         for name, entry in report.get("certificates", {}).items():
-            print(f"  certificate {name}: {entry['verdict']}", file=stream)
+            print(f"  certificate {name}: {entry['verdict']}")
     for note in report.get("notes", []):
-        print(f"  note: {note}", file=stream)
+        print(f"  note: {note}")
 
 
 def _emit(report: dict, code: int, json_path: str | None) -> int:

@@ -164,69 +164,45 @@ def calabi_profile(n: int, calabi_c: float, grid: RadialGrid) -> RadialProfile:
     return RadialProfile(grid=grid, values=vals)
 
 
-class _BumpIntegral:
-    """Cumulative quadrature K(s) = int_{s0-w}^{min(s, s0+w)} g(tau) dtau for a
-    smooth integrand g supported on the bump, via PANELS fixed Gauss-Legendre
-    panels of ORDER nodes each.
-
-    Panel edges line up with the support seams, so the integrand is smooth on
-    every panel and the rule converges to machine accuracy.
-    """
-
-    PANELS = 64
-    ORDER = 12
-
-    def __init__(self, integrand, lo: float, hi: float):
-        self.integrand = integrand
-        self.lo, self.hi = lo, hi
-        self.edges = np.linspace(lo, hi, self.PANELS + 1)
-        self._nodes, self._weights = np.polynomial.legendre.leggauss(self.ORDER)
-        partial = np.empty(self.PANELS)
-        for j in range(self.PANELS):
-            a, b = self.edges[j], self.edges[j + 1]
-            pts = 0.5 * (b - a) * self._nodes + 0.5 * (a + b)
-            partial[j] = 0.5 * (b - a) * np.dot(self._weights, integrand(pts))
-        self.prefix = np.concatenate([[0.0], np.cumsum(partial)])
-
-    @property
-    def total(self) -> float:
-        return float(self.prefix[-1])
-
-    def _scalar(self, s: float) -> float:
-        if s <= self.lo:
-            return 0.0
-        if s >= self.hi:
-            return self.total
-        j = int(np.searchsorted(self.edges, s, side="right")) - 1
-        a = self.edges[j]
-        pts = 0.5 * (s - a) * self._nodes + 0.5 * (a + s)
-        return float(self.prefix[j] + 0.5 * (s - a) * np.dot(self._weights, self.integrand(pts)))
-
-    def __call__(self, s: np.ndarray) -> np.ndarray:
-        return np.array([self._scalar(float(v)) for v in s])
+# The oracle's quadrature rule: _PANELS Gauss-Legendre panels of _ORDER nodes
+# on the bump support.  Panel edges lie on the support seams, so the integrand
+# is smooth on every panel and the rule converges to machine accuracy.
+_PANELS = 64
+_ORDER = 12
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(_ORDER)
 
 
-def _density_integral(config: PathConfig) -> _BumpIntegral:
-    """K(s) for the integrand tau^{n-1} (e^{f0(tau)} - 1) of the first integral."""
-    n = config.n
+def _density_integral(config: PathConfig, s) -> np.ndarray:
+    """K(s) = int_{s0-w}^{min(s, s0+w)} tau^{n-1} (e^{f0(tau)} - 1) dtau at the
+    points s: 0 at or below the support, the total at or above it."""
+    s = np.asarray(s, dtype=float)
+    lo, hi = config.s0 - config.w, config.s0 + config.w
 
-    def integrand(tau):
-        return tau ** (n - 1) * np.expm1(bump_values(config, tau))
+    def panel_sums(a, b):  # the Gauss rule on each panel [a_i, b_i]
+        half = 0.5 * (b - a)
+        tau = half[:, None] * _GAUSS_NODES + (0.5 * (a + b))[:, None]
+        return half * ((tau ** (config.n - 1) * np.expm1(bump_values(config, tau))) @ _GAUSS_WEIGHTS)
 
-    return _BumpIntegral(integrand, config.s0 - config.w, config.s0 + config.w)
+    edges = np.linspace(lo, hi, _PANELS + 1)
+    prefix = np.concatenate([[0.0], np.cumsum(panel_sums(edges[:-1], edges[1:]))])
+    out = np.where(s <= lo, 0.0, prefix[-1])
+    inside = (s > lo) & (s < hi)
+    j = np.searchsorted(edges, s[inside], side="right") - 1
+    out[inside] = prefix[j] + panel_sums(edges[j], s[inside])
+    return out
 
 
 def quadrature_oracle(config: PathConfig, grid: RadialGrid) -> RadialProfile:
     """Ground-truth f' from the first integral, exact up to quadrature error.
 
     s^n (f')^n = C + n * int_0^s tau^{n-1} e^{f0} dtau; splitting off the
-    flat part of the integrand leaves a bump-supported quadrature done with
-    Gauss panels, so the profile is accurate to near machine precision.
+    flat part of the integrand leaves the bump-supported K(s) of
+    _density_integral, evaluated at all nodes in one array pass, so the
+    profile is accurate to near machine precision.
     """
     config.validate_against(grid)
     n = config.n
-    cum = _density_integral(config)
-    running = config.calabi_c + n * cum(grid.s)
+    running = config.calabi_c + n * _density_integral(config, grid.s)
     radicand = 1.0 + running * grid.s ** (-float(n))
     if np.any(radicand <= 0):
         i = int(np.where(radicand <= 0)[0][0])
@@ -238,7 +214,7 @@ def quadrature_oracle(config: PathConfig, grid: RadialGrid) -> RadialProfile:
 
 def oracle_effective_constant(config: PathConfig) -> float:
     """Tail constant of s^n((f')^n - 1): the class parameter shifted by the bump."""
-    return config.calabi_c + config.n * _density_integral(config).total
+    return config.calabi_c + config.n * float(_density_integral(config, config.s0 + config.w))
 
 
 @dataclass
@@ -519,6 +495,7 @@ def mass_integral(config: PathConfig, u: RadialProfile) -> MassReport:
     of the solved correction u (from newton_continuity_solve).
 
     Only meaningful for n >= 3 (the normalization carries an n - 2 factor).
+    The radial integral is -K(s0 + w)/2 (s = r^2), by the oracle's Gauss rule.
     The fitted coefficient is the decay_fit of u alone (correction_only);
     with no bump (c = 0) it is 0 and u is not read.  The reported ratio
     fitted/formula is the reproducible quantity; its value absorbs
@@ -528,7 +505,7 @@ def mass_integral(config: PathConfig, u: RadialProfile) -> MassReport:
     """
     if config.n < 3:
         raise ValueError("mass normalization degenerates at n = 2; need n >= 3")
-    radial = -0.5 * _density_integral(config).total
+    radial = -0.5 * float(_density_integral(config, config.s0 + config.w))
     vol = link_volume(config.n, config.r_order)
     formula_a = radial / (config.n - 2)
     if config.c == 0:

@@ -102,13 +102,14 @@ def test_criterion_4_structural_sweep():
         ok = ok and m.is_negative_definite() and m.inverse_entries_nonpositive()
         # (iv) adjunction rows
         ok = ok and adjunction_check(chain)
-        # (v) klt bound
-        ok = ok and all(0 < beta <= 1 for beta in chain.betas)
+        # (v) klt bound; chain.betas builds its Fractions on every read
+        betas = chain.betas
+        ok = ok and all(0 < beta <= 1 for beta in betas)
         # (vi) volume density on strata touching a conical ray
         strata = [
             stratum
             for stratum in chain_strata(len(rays))
-            if any(chain.betas[i] < 1 for i in stratum)
+            if any(betas[i] < 1 for i in stratum)
         ]
         if strata:
             report = volume_density_inequality(chain.rays, strata, Fraction(1, r))

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -162,6 +164,24 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["sweep2d", "8"]) == 0
     assert main(["radial", str(tmp_path / "nope.txt")]) == 2
     capsys.readouterr()
+
+
+def test_human_summary_follows_redirect_stdout(tmp_path):
+    path = tmp_path / "report.json"
+    for argv in (["resolve2d", "7", "3"], ["resolve2d", "7", "3", "--json", str(path)]):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        assert out.getvalue().startswith("alequot resolve2d\n")
+        assert "certificate angle_condition: pass" in out.getvalue()
+    assert json.loads(path.read_text())["resolution"]["beta"] == ["4/7", "5/7", "6/7"]
+
+
+@pytest.mark.parametrize("r_max", ["1", "0", "-5"])
+def test_sweep2d_without_pairs_is_a_usage_error(r_max, capsys):
+    assert main(["sweep2d", r_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: RMAX must be at least 2, got {r_max}\n"
 
 
 def test_main_usage_error_exit_code(capsys):

@@ -3,6 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from alequot.radial import (
     DecayFitError,
@@ -10,6 +11,7 @@ from alequot.radial import (
     RadialGrid,
     RadialProfile,
     SolverFailure,
+    _density_integral,
     _first_derivative,
     _interior_operators,
     bump_values,
@@ -135,6 +137,42 @@ def test_oracle_effective_tail_constant():
     assert measured == pytest.approx(c_eff, rel=1e-8)
     # bump with c < 0 depletes the class constant
     assert c_eff < config.calabi_c
+
+
+def _seam_config(n, c):
+    """A bump on [3, 7] whose two seams are nodes of GRID, exactly in floating point."""
+    s, lo = GRID.s, int(np.searchsorted(GRID.s, 3.0))
+    for hi in range(int(np.searchsorted(s, 7.0)), GRID.m):
+        config = PathConfig(n=n, calabi_c=1.0, s0=(s[lo] + s[hi]) / 2, w=(s[hi] - s[lo]) / 2, c=c)
+        if config.s0 - config.w == s[lo] and config.s0 + config.w == s[hi]:
+            return config, lo, hi
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("c", [-0.3, 0.2])
+def test_bump_integral_matches_adaptive_quadrature(n, c):
+    config, lo, hi = _seam_config(n, c)
+    a, b = config.s0 - config.w, config.s0 + config.w
+
+    def k_quad(s):  # K(s) by scipy's adaptive rule, split at the bump's peak
+        if s <= a:
+            return 0.0
+        points = [config.s0] if config.s0 < min(s, b) else None
+        integrand = lambda tau: tau ** (n - 1) * np.expm1(bump_values(config, tau))
+        return quad(integrand, a, min(s, b), points=points, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+
+    total = k_quad(b)
+    assert oracle_effective_constant(config) - config.calabi_c == pytest.approx(n * total, rel=1e-13)
+    # nodes inside the support, both seams, and the first and last node
+    s = GRID.s
+    nodes = [0, *range(lo, hi + 1), GRID.m - 1]
+    expected = [(1 + (config.calabi_c + n * k_quad(s[i])) * s[i] ** -n) ** (1 / n) for i in nodes]
+    assert quadrature_oracle(config, GRID).values[nodes] == pytest.approx(expected, rel=1e-13)
+    # K is exactly 0 at and below the support and exactly the total at and above it
+    k = _density_integral(config, s)
+    assert np.all(k[: lo + 1] == 0.0) and np.all(k[hi:] == k[-1])
+    assert k[-1] == pytest.approx(total, rel=1e-13)
+    assert float(_density_integral(config, b)) == k[-1]
 
 
 def _row_by_row_operators(m, h):
