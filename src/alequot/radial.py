@@ -41,8 +41,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 
 class KahlerConeError(ValueError):
@@ -197,8 +196,10 @@ def quadrature_oracle(config: PathConfig, grid: RadialGrid) -> RadialProfile:
 
     s^n (f')^n = C + n * int_0^s tau^{n-1} e^{f0} dtau; splitting off the
     flat part of the integrand leaves the bump-supported K(s) of
-    _density_integral, evaluated at all nodes in one array pass, so the
-    profile is accurate to near machine precision.
+    _density_integral, evaluated at all nodes in one array pass.  Where
+    e^{f0} << 1 on the support, C + nK nearly cancels -s^n and f' loses
+    relative accuracy: two summation orders of the rule differ by 66 ulp at
+    c in [-8, -1], and by ~1e3 ulp at c ~ -50 with C <= 1e-12.
     """
     config.validate_against(grid)
     n = config.n
@@ -252,46 +253,53 @@ _STENCILS = {
 }
 
 
-def _coefficients(name: str, h: float) -> np.ndarray:
-    _, weights, denominator, order = _STENCILS[name]
-    # multiplied left to right: (12 h) h does not round like 12 (h h)
-    return np.array(weights, dtype=float) / math.prod([denominator] + [h] * order)
+# LAPACK band storage, band[_UPPER + i - j, j] = A[i, j].  The rows of the
+# Newton Jacobian reach _LOWER columns left and _UPPER right; d1_last reaches 4 left.
+_LOWER, _UPPER = 2, 4
 
 
-def _stencil_matrix(grid: RadialGrid, layout) -> sp.csr_matrix:
-    """Sparse operator whose rows apply the named stencils; `layout` pairs
-    row indices with a stencil name, and unlisted rows stay empty."""
-    rows, cols, vals = [], [], []
+def _stencil_band(grid: RadialGrid, layout, lower: int = _LOWER) -> np.ndarray:
+    """Band storage of the operator whose rows apply the named stencils of
+    `layout` (row indices, name); other rows and cells outside the matrix are 0."""
+    band = np.zeros((lower + _UPPER + 1, grid.m))
     for index, name in layout:
-        first = _STENCILS[name][0]
-        coeffs = _coefficients(name, grid.h)
-        (nonzero,) = np.nonzero(coeffs)
-        index = np.asarray(index)
-        rows.append(np.repeat(index, nonzero.size))
-        cols.append((index[:, None] + first + nonzero).ravel())
-        vals.append(np.tile(coeffs[nonzero], index.size))
-    m = grid.m
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(m, m)
-    )
+        first, weights, denominator, order = _STENCILS[name]
+        # multiplied left to right: (12 h) h does not round like 12 (h h)
+        coeffs = np.array(weights, dtype=float) / math.prod([denominator] + [grid.h] * order)
+        for k, coeff in enumerate(coeffs):  # weight k sits in column i + first + k
+            band[_UPPER - first - k, np.asarray(index) + first + k] = coeff
+    return band
+
+
+def _band_apply(band: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Band operator times u, each row summed from 0.0 in increasing column order."""
+    m = u.size
+    out = np.zeros(m)
+    for d in range(_UPPER + 1 - band.shape[0], _UPPER + 1):  # column j = i + d
+        lo, hi = max(0, -d), min(m, m - d)
+        out[lo:hi] += band[_UPPER - d, lo + d:hi + d] * u[lo + d:hi + d]
+    return out
+
+
+def _jacobian(d1: np.ndarray, d2: np.ndarray, boundary: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Band storage of d2 + diag(c) d1 + boundary; window r of the padded c is
+    c at the rows j + r - _UPPER of band r's cells."""
+    rows_of_c = np.lib.stride_tricks.sliding_window_view(np.pad(c, (_UPPER, _LOWER)), c.size)
+    return d2 + rows_of_c * d1 + boundary
 
 
 def _interior_operators(grid: RadialGrid):
-    """Sparse d/dx and d2/dx2 with fourth-order interior rows; the two rows
-    next to the boundary fall back to second order (the correction is locally
-    constant there) and the boundary rows stay empty for the BC rows."""
+    """Banded d/dx and d2/dx2: fourth order inside, second order in the two rows
+    next to the boundary (the correction is locally constant there), empty boundary rows."""
     inner, near = np.arange(2, grid.m - 2), [1, grid.m - 2]
-    return (
-        _stencil_matrix(grid, [(near, "d1_o2"), (inner, "d1")]),
-        _stencil_matrix(grid, [(near, "d2_o2"), (inner, "d2")]),
-    )
+    return tuple(_stencil_band(grid, [(near, f"{d}_o2"), (inner, d)]) for d in ("d1", "d2"))
 
 
-def _first_derivative(grid: RadialGrid) -> sp.csr_matrix:
-    """Fourth-order d/dx at every node, one-sided and skewed near the ends."""
+def _first_derivative(grid: RadialGrid) -> np.ndarray:
+    """Fourth-order d/dx at every node, one-sided and skewed near the ends (4 lower bands)."""
     m = grid.m
     ends = [([0], "d1_first"), ([1], "d1_second"), ([m - 2], "d1_penultimate"), ([m - 1], "d1_last")]
-    return _stencil_matrix(grid, ends + [(np.arange(2, m - 2), "d1")])
+    return _stencil_band(grid, ends + [(np.arange(2, m - 2), "d1")], lower=4)
 
 
 def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
@@ -309,15 +317,16 @@ def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
     4 eps max(s (f'_bg)^{1-n} + |s e^{t f0} P^{1-n}| + (64/12) max|u| / h^2)
     bounds the round-off in evaluating G at the current iterate (64/12 sums
     the absolute d2 weights).  No Newton step can push G below it.
+
+    Each step is one LAPACK band LU solve (gbsv via solve_banded) with the
+    (2, 4)-band Jacobian; a singular or non-finite Jacobian raises SolverFailure.
     """
     config.validate_against(grid)
     n = config.n
-    m = grid.m
     s = grid.s
-    h = grid.h
     d1, d2 = _interior_operators(grid)
-    boundary = _stencil_matrix(grid, [([0], "d1_first"), ([m - 1], "value")])
-    neumann = _coefficients("d1_first", h)
+    boundary = _stencil_band(grid, [([0], "d1_first"), ([grid.m - 1], "value")])
+    neumann = boundary[_UPPER - np.arange(5), np.arange(5)]  # row 0, the d1_first weights
     qb = calabi_profile(n, config.calabi_c, grid).values
     swb = s * qb ** (1 - n)  # s * (f'_bg + s f''_bg) via the exact density identity
     f0 = bump_values(config, s)
@@ -326,18 +335,19 @@ def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
                             f"{limit:.6g}, so e^(t f0) is not finite in floating point")
 
     def residual(u, rhs):
-        ux = d1 @ u
-        uxx = d2 @ u
+        ux = _band_apply(d1, u)
+        uxx = _band_apply(d2, u)
         p = qb + ux / s
         if np.any(p <= 0):
-            return None, None, None
+            return None, None, None, None
         w = swb / s + uxx / s  # f' + s f'' of the full profile
-        g = swb + uxx - s * rhs * p ** (1 - n)
+        nonlinear = s * rhs * p ** (1 - n)
+        g = swb + uxx - nonlinear
         g[0] = neumann @ u[:5]
         g[-1] = u[-1]
-        return g, p, w
+        return g, p, w, nonlinear
 
-    u = np.zeros(m)
+    u = np.zeros(grid.m)
     trace = PathTrace()
     max_halvings = 30
     for k in range(1, config.t_steps + 1):
@@ -346,31 +356,32 @@ def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
         step = TStep(t=t)
         trace.steps.append(step)
         for _ in range(60):
-            g, p, w = residual(u, rhs)
+            g, p, w, nonlinear = residual(u, rhs)
             if g is None:
                 raise SolverFailure(f"f' lost positivity at t = {t}", trace)
             res = float(np.max(np.abs(g)))
             step.residuals.append(res)
-            terms = swb + np.abs(s * rhs * p ** (1 - n)) + (64 / 12) * np.max(np.abs(u)) / h**2
+            terms = swb + np.abs(nonlinear) + (64 / 12) * np.max(np.abs(u)) / grid.h**2
             floor = 4 * np.finfo(float).eps * float(np.max(terms))
             tol = max(1e-11, floor) if config.newton_tol is None else config.newton_tol
             if res < tol:
                 break
-            jac = d2 + sp.diags((n - 1) * rhs * p ** (-float(n))) @ d1 + boundary
-            delta = spla.spsolve(jac, -g)
+            jac = _jacobian(d1, d2, boundary, (n - 1) * rhs * p ** (-float(n)))
+            try:
+                delta = solve_banded((_LOWER, _UPPER), jac, -g)
+            except ValueError as exc:  # a singular (LinAlgError) or non-finite Jacobian
+                raise SolverFailure(f"Newton step failed at t = {t}: {exc}", trace) from exc
             alpha = 1.0
-            accepted = False
             for _ in range(max_halvings + 1):
-                g_new, p_new, w_new = residual(u + alpha * delta, rhs)
+                g_new, p_new, w_new, _ = residual(u + alpha * delta, rhs)
                 if (
                     g_new is not None
                     and float(np.max(np.abs(g_new))) < res
                     and np.all(w_new[1:-1] > 0)
                 ):
-                    accepted = True
                     break
                 alpha *= 0.5
-            if not accepted:
+            else:
                 bad = f"damping exhausted at residual {res:.3g}, round-off floor {floor:.3g}"
                 if g_new is None:
                     bad = "f' non-positive under every damping"
@@ -389,9 +400,8 @@ def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
 def total_fprime(u: RadialProfile, config: PathConfig) -> RadialProfile:
     """f' of the solved metric: background plus the differentiated correction."""
     grid = u.grid
-    d1 = _first_derivative(grid)
     qb = calabi_profile(config.n, config.calabi_c, grid).values
-    return RadialProfile(grid=grid, values=qb + (d1 @ u.values) / grid.s)
+    return RadialProfile(grid=grid, values=qb + _band_apply(_first_derivative(grid), u.values) / grid.s)
 
 
 def oracle_deviation(u: RadialProfile, config: PathConfig) -> float:

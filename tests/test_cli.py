@@ -122,6 +122,24 @@ def test_kahler_cone_error_is_a_solver_failure(tmp_path, monkeypatch, capsys):
     assert "Kahler cone" in report["solver"]["error"]
 
 
+@pytest.mark.parametrize("error", ["singular matrix", "array must not contain infs or NaNs"])
+def test_failed_band_solve_is_a_solver_failure(tmp_path, monkeypatch, capsys, error):
+    import numpy as np
+    import alequot.radial as radial
+
+    def failing_solve(*args, **kwargs):   # solve_banded's two ways to fail
+        raise np.linalg.LinAlgError(error) if error == "singular matrix" else ValueError(error)
+
+    monkeypatch.setattr(radial, "solve_banded", failing_solve)
+    run = tmp_path / "run.txt"
+    run.write_text(RUN_SMALL)
+    assert main(["radial", str(run), "--json", "-"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["solver"]["converged"] is False
+    assert report["solver"]["error"] == f"Newton step failed at t = 0.1: {error}"
+    assert report["solver"]["trace_excerpt"][-1]["t"] == 0.1
+
+
 def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise AssertionError("chain recurrence failed")
@@ -229,6 +247,29 @@ def test_exact_commands_run_on_the_standard_library_alone(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-c", EXACT_ONLY_SCRIPT, str(fan)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+RADIAL_IMPORTS_SCRIPT = """
+import contextlib, io, sys
+from alequot.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["radial", sys.argv[1], "--json", "-"])
+assert code == 0, code
+assert "scipy.sparse" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
+"""
+
+
+def test_radial_does_not_load_scipy_sparse(tmp_path):
+    run = tmp_path / "readme_run.txt"
+    run.write_text(RUN_SMALL.replace("nodes = 512", "nodes = 256"))   # the README configuration
+    src = str(Path(alequot.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", RADIAL_IMPORTS_SCRIPT, str(run)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert result.returncode == 0, result.stderr

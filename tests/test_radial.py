@@ -4,16 +4,22 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import solve_banded
 
 from alequot.radial import (
+    _LOWER,
+    _UPPER,
     DecayFitError,
     PathConfig,
     RadialGrid,
     RadialProfile,
     SolverFailure,
+    _band_apply,
     _density_integral,
     _first_derivative,
     _interior_operators,
+    _jacobian,
+    _stencil_band,
     bump_values,
     calabi_profile,
     decay_fit,
@@ -192,15 +198,73 @@ def _row_by_row_operators(m, h):
     return d1, d2, full
 
 
+def _read_band(band):
+    """The dense matrix held in LAPACK band storage (band[upper + i - j, j] =
+    A[i, j]), and the band cells that lie outside it."""
+    m = band.shape[1]
+    r, j = np.indices(band.shape)
+    i = j + r - _UPPER
+    inside = (i >= 0) & (i < m)
+    dense = np.zeros((m, m))
+    dense[i[inside], j[inside]] = band[inside]
+    return dense, band[~inside]
+
+
 def test_stencil_table_matches_row_by_row_assembly():
     for m in (16, 17, 257):
         grid = RadialGrid(1e-2, 1e4, m)
         d1, d2 = _interior_operators(grid)
         full = _first_derivative(grid)
         for built, reference in zip((d1, d2, full), _row_by_row_operators(m, grid.h)):
-            assert np.array_equal(built.toarray(), reference)     # bit for bit
-            assert built.nnz == np.count_nonzero(reference)       # no stored zeros
-            assert built.has_sorted_indices
+            dense, outside = _read_band(built)
+            assert np.array_equal(dense, reference)     # bit for bit
+            assert not np.any(outside)                  # cells outside the matrix stay 0
+
+
+def test_band_apply_sums_each_row_left_to_right():
+    m = 257
+    grid = RadialGrid(1e-2, 1e4, m)
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal(m) * 10.0 ** rng.uniform(-3, 3, m)
+    bands = (*_interior_operators(grid), _first_derivative(grid))
+    for band, reference in zip(bands, _row_by_row_operators(m, grid.h)):
+        expected = []
+        for row in reference:
+            total = 0.0
+            for j in np.flatnonzero(row):   # increasing column order
+                total += float(row[j]) * float(u[j])
+            expected.append(total)
+        assert np.array_equal(_band_apply(band, u), expected)   # bit for bit
+
+
+def _readme_jacobian(m):
+    """The band Jacobian at u = 0, t = 1 of the README configuration, and the
+    same matrix assembled densely from the row-by-row operators."""
+    config, grid = cfg(n=3, C=1.0, c=-0.25), RadialGrid(1e-2, 1e4, m)
+    qb = calabi_profile(3, 1.0, grid).values
+    c = (config.n - 1) * np.exp(bump_values(config, grid.s)) * qb ** (-3.0)
+    d1, d2 = _interior_operators(grid)
+    boundary = _stencil_band(grid, [([0], "d1_first"), ([m - 1], "value")])
+    ref1, ref2, full = _row_by_row_operators(m, grid.h)
+    dense_boundary = np.zeros((m, m))
+    dense_boundary[0], dense_boundary[-1, -1] = full[0], 1.0   # Neumann and Dirichlet rows
+    return _jacobian(d1, d2, boundary, c), ref2 + c[:, None] * ref1 + dense_boundary
+
+
+def test_band_jacobian_matches_dense_assembly():
+    band, expected = _readme_jacobian(257)
+    assert band.shape == (_LOWER + _UPPER + 1, 257)
+    dense, outside = _read_band(band)
+    assert np.array_equal(dense, expected)   # d2 + diag(c) d1 + boundary, bit for bit
+    assert not np.any(outside)
+
+
+def test_band_step_matches_dense_solve():
+    band, dense = _readme_jacobian(257)
+    g = np.random.default_rng(11).standard_normal(257)
+    step = solve_banded((_LOWER, _UPPER), band, -g)
+    reference = np.linalg.solve(dense, -g)
+    assert np.max(np.abs(step - reference)) <= 1e-10 * np.max(np.abs(reference))
 
 
 def test_newton_zero_bump_returns_zero():
