@@ -249,7 +249,6 @@ def radial_report(text: str) -> tuple[dict, int]:
         "s_max": real_str(grid.s_max),
         "nodes": grid.m,
         "t_steps": config.t_steps,
-        "newton_tol": "auto" if config.newton_tol is None else real_str(config.newton_tol),
     }
     try:
         u, trace = newton_continuity_solve(config, grid)

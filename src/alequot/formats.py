@@ -137,16 +137,15 @@ _RUN_KEYS = {
     "s_max": float,
     "nodes": int,
     "t_steps": int,
-    "newton_tol": float,
 }
 
+# no key sets a Newton tolerance: a solve always stops at max(1e-11, its round-off floor)
 _RUN_DEFAULTS = {
     "r": 1,
     "s_min": 1e-2,
     "s_max": 1e4,
     "nodes": 2048,
     "t_steps": 10,
-    "newton_tol": None,  # automatic: stop at the round-off floor
 }
 
 
@@ -183,7 +182,6 @@ def parse_run_file(text: str) -> tuple[PathConfig, RadialGrid]:
             c=params["c"],
             r_order=params["r"],
             t_steps=params["t_steps"],
-            newton_tol=params["newton_tol"],
         )
         grid = RadialGrid(s_min=params["s_min"], s_max=params["s_max"], m=params["nodes"])
         config.validate_against(grid)

@@ -109,7 +109,8 @@ class PathConfig:
 
     The volume perturbation is f0(s) = c (1 - ((s - s0)/w)^2)^3 on
     |s - s0| <= w and zero outside; C^2 regularity at the seams is enough
-    for the discretization orders used here.
+    for the discretization orders used here.  No field sets a Newton
+    tolerance: newton_continuity_solve stops at its round-off floor.
     """
 
     n: int
@@ -119,7 +120,6 @@ class PathConfig:
     c: float
     r_order: int = 1
     t_steps: int = 10
-    newton_tol: float | None = None  # None: stop at the round-off floor
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
@@ -132,8 +132,6 @@ class PathConfig:
             raise ValueError(f"group order must be an integer >= 1, got {self.r_order!r}")
         if self.t_steps < 1:
             raise ValueError("need at least one continuity step")
-        if self.newton_tol is not None and not self.newton_tol > 0:
-            raise ValueError("Newton tolerance must be positive")
 
     def validate_against(self, grid: RadialGrid) -> None:
         if not (self.s0 - self.w > grid.s_min and self.s0 + self.w < grid.s_max):
@@ -312,11 +310,12 @@ def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
     positive; exhaustion of the backtracking raises SolverFailure with the
     trace collected so far.
 
-    A t-step ends once the max-norm residual drops below `config.newton_tol`
-    or, when that is None, below max(1e-11, floor), where floor =
+    A t-step ends once the max-norm residual drops below max(1e-11, floor)
+    (the only stopping rule), where floor =
     4 eps max(s (f'_bg)^{1-n} + |s e^{t f0} P^{1-n}| + (64/12) max|u| / h^2)
     bounds the round-off in evaluating G at the current iterate (64/12 sums
-    the absolute d2 weights).  No Newton step can push G below it.
+    the absolute d2 weights).  No Newton step can push G below it.  G is
+    evaluated once per iterate; the accepted line-search trial's values carry over.
 
     Each step is one LAPACK band LU solve (gbsv via solve_banded) with the
     (2, 4)-band Jacobian; a singular or non-finite Jacobian raises SolverFailure.
@@ -355,16 +354,15 @@ def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
         rhs = np.exp(t * f0)
         step = TStep(t=t)
         trace.steps.append(step)
+        # P = f'_bg + u_x / s depends on u alone: u = 0 gives P = f'_bg > 0 and
+        # the line search accepts only P > 0, so g is never None here
+        g, p, _, nonlinear = residual(u, rhs)
         for _ in range(60):
-            g, p, w, nonlinear = residual(u, rhs)
-            if g is None:
-                raise SolverFailure(f"f' lost positivity at t = {t}", trace)
             res = float(np.max(np.abs(g)))
             step.residuals.append(res)
             terms = swb + np.abs(nonlinear) + (64 / 12) * np.max(np.abs(u)) / grid.h**2
             floor = 4 * np.finfo(float).eps * float(np.max(terms))
-            tol = max(1e-11, floor) if config.newton_tol is None else config.newton_tol
-            if res < tol:
+            if res < max(1e-11, floor):
                 break
             jac = _jacobian(d1, d2, boundary, (n - 1) * rhs * p ** (-float(n)))
             try:
@@ -373,7 +371,8 @@ def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
                 raise SolverFailure(f"Newton step failed at t = {t}: {exc}", trace) from exc
             alpha = 1.0
             for _ in range(max_halvings + 1):
-                g_new, p_new, w_new, _ = residual(u + alpha * delta, rhs)
+                u_new = u + alpha * delta
+                g_new, p_new, w_new, nonlinear_new = residual(u_new, rhs)
                 if (
                     g_new is not None
                     and float(np.max(np.abs(g_new))) < res
@@ -391,7 +390,7 @@ def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
                     bad = f"density not positive at node {node} (s = {s[node]:.6g})"
                 raise SolverFailure(f"Newton stalled at t = {t}: {bad}", trace)
             step.step_sizes.append(alpha)
-            u = u + alpha * delta
+            u, g, p, nonlinear = u_new, g_new, p_new, nonlinear_new
         else:
             raise SolverFailure(f"Newton did not converge at t = {t}", trace)
     return RadialProfile(grid=grid, values=u), trace

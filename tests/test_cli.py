@@ -319,13 +319,17 @@ def test_radial_non_finite_or_overflowing_value_is_a_clean_error(c, code, tmp_pa
         assert report["solver"]["error"].startswith("bump overflows: max f0 = ")
 
 
-def test_radial_solver_failure_exit_code(tmp_path, capsys):
+def test_radial_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
+    import alequot.radial as radial
+    from test_radial import zero_step
+
+    monkeypatch.setattr(radial, "solve_banded", zero_step)
     run = tmp_path / "run.txt"
-    run.write_text(
-        "n = 3\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = -0.25\nnodes = 128\nnewton_tol = 1e-30\n"
-    )
-    assert main(["radial", str(run)]) == 3
-    capsys.readouterr()
+    run.write_text("n = 3\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = -0.25\nnodes = 128\n")
+    assert main(["radial", str(run), "--json", "-"]) == 3
+    solver = json.loads(capsys.readouterr().out)["solver"]
+    assert solver["error"].startswith("Newton stalled at t = 0.1: damping exhausted at residual ")
+    assert solver["trace_excerpt"] and solver["trace_excerpt"][-1]["residuals"]
 
 
 def _admissible_family(r_max):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -86,7 +87,7 @@ def test_parse_run_file():
     assert config.calabi_c == 1.0 and config.c == -0.25
     assert grid.m == 256
     assert grid.s_min == 1e-2 and grid.s_max == 1e4   # defaults
-    assert config.t_steps == 10 and config.newton_tol is None   # automatic
+    assert config.t_steps == 10
 
 
 @pytest.mark.parametrize(
@@ -96,12 +97,21 @@ def test_parse_run_file():
         ("n = 3\nC = 1.0\nbogus = 4\ns0 = 5.0\nw = 2.0\nc = 0.0\n", 3),
         ("n = 3\nn = 4\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = 0.0\n", 2),
         ("n = 3\nC 1.0\n", 2),
+        ("n = 3\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = 0.0\nnewton_tol = 1e-11\n", 6),   # removed key
     ],
 )
 def test_parse_run_file_errors(text, bad_line):
     with pytest.raises(ParseError) as err:
         parse_run_file(text)
     assert err.value.line == bad_line
+
+
+def test_readme_run_file_example_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Solver run files", 1)[1]
+    block = section.split("```\n", 2)[1]   # the first fenced block of the section
+    config, grid = parse_run_file(block)
+    assert (config.n, config.r_order, grid.m) == (3, 7, 2048)
 
 
 def test_parse_run_file_missing_keys():

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import solve_banded
 
+from alequot import radial
 from alequot.radial import (
     _LOWER,
     _UPPER,
@@ -305,8 +306,8 @@ def test_newton_grid_contraction():
 
 
 def test_readme_config_converges_at_4096_nodes():
-    # the round-off floor of G exceeds 1e-11 here, so a fixed 1e-11
-    # tolerance stalls at t = 0.7; the automatic tolerance stops at the floor
+    # the round-off floor of G exceeds 1e-11 here (a fixed 1e-11 tolerance
+    # would stall at t = 0.7); each t-step stops at max(1e-11, floor)
     config = cfg(n=3, C=1.0, c=-0.25, r_order=7)
     u, trace = newton_continuity_solve(config, RadialGrid(1e-2, 1e4, 4096))
     assert len(trace.steps) == config.t_steps
@@ -320,12 +321,33 @@ def test_path_stays_kahler():
     assert np.all(dens[1:-1] > 0)
 
 
-def test_solver_failure_carries_trace():
-    config = cfg(c=-0.25, newton_tol=1e-30)
-    with pytest.raises(SolverFailure) as err:
-        newton_continuity_solve(config, RadialGrid(1e-2, 1e4, 256))
+def zero_step(l_and_u, ab, b, **kwargs):
+    """A band solve that returns no step, so no damping lowers the residual."""
+    return np.zeros(b.size)
+
+
+def test_solver_failure_carries_trace(monkeypatch):
+    monkeypatch.setattr(radial, "solve_banded", zero_step)
+    stall = r"^Newton stalled at t = 0\.1: damping exhausted at residual "
+    with pytest.raises(SolverFailure, match=stall) as err:
+        newton_continuity_solve(cfg(c=-0.25), RadialGrid(1e-2, 1e4, 256))
     assert err.value.trace is not None
-    assert err.value.trace.steps
+    assert err.value.trace.steps and err.value.trace.steps[0].residuals
+
+
+def test_newton_evaluates_each_iterate_once(monkeypatch):
+    calls = []
+
+    def counting(band, u):
+        calls.append(None)
+        return _band_apply(band, u)
+
+    monkeypatch.setattr(radial, "_band_apply", counting)
+    config = cfg(n=3, C=1.0, c=-0.25, r_order=7)   # the README configuration
+    _, trace = newton_continuity_solve(config, RadialGrid(1e-2, 1e4, 2048))
+    halvings = sum(round(-math.log2(a)) for st in trace.steps for a in st.step_sizes)
+    # one residual (a d1 and a d2 product) per t-step start and per line-search trial
+    assert len(calls) == 2 * (config.t_steps + trace.newton_iterations + halvings)
 
 
 def test_decay_fit_background():

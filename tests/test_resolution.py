@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from alequot import resolution
 from alequot.lattice import LatticeCone, det
 from alequot.quotient import CyclicQuotient, singularity_data
 from alequot.resolution import (
@@ -76,6 +77,17 @@ def test_hj_resolution_crepant_series():
     assert [ray.w for ray in chain.rays] == [(1, 1), (2, 1), (3, 1), (4, 1)]
     assert chain.self_intersections == (2, 2, 2, 2)
     assert chain.betas == (Fraction(1),) * 4
+
+
+def test_hj_resolution_checks_the_last_recurrence(monkeypatch):
+    def bumped(r, a):   # a wrong last digit breaks the recurrence where v enters
+        digits = hj_continued_fraction(r, a)
+        return digits[:-1] + [digits[-1] + 1]
+
+    monkeypatch.setattr(resolution, "hj_continued_fraction", bumped)
+    failure = r"^chain recurrence failed at position 3 for 1/7\(1,3\)$"
+    with pytest.raises(AssertionError, match=failure):
+        hj_resolution(CyclicQuotient(7, (3,)))
 
 
 def test_hj_resolution_rejects_threefolds():
