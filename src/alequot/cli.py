@@ -248,7 +248,6 @@ def radial_report(text: str) -> tuple[dict, int]:
         "s_min": real_str(grid.s_min),
         "s_max": real_str(grid.s_max),
         "nodes": grid.m,
-        "t_steps": config.t_steps,
     }
     try:
         u, trace = newton_continuity_solve(config, grid)

@@ -136,16 +136,14 @@ _RUN_KEYS = {
     "s_min": float,
     "s_max": float,
     "nodes": int,
-    "t_steps": int,
 }
 
-# no key sets a Newton tolerance: a solve always stops at max(1e-11, its round-off floor)
+# no key sets a Newton tolerance or the steps in t: newton_continuity_solve picks both
 _RUN_DEFAULTS = {
     "r": 1,
     "s_min": 1e-2,
     "s_max": 1e4,
     "nodes": 2048,
-    "t_steps": 10,
 }
 
 
@@ -181,7 +179,6 @@ def parse_run_file(text: str) -> tuple[PathConfig, RadialGrid]:
             w=params["w"],
             c=params["c"],
             r_order=params["r"],
-            t_steps=params["t_steps"],
         )
         grid = RadialGrid(s_min=params["s_min"], s_max=params["s_max"], m=params["nodes"])
         config.validate_against(grid)

@@ -30,8 +30,8 @@ whose principal part is exactly d^2/dx^2; this avoids the catastrophic
 cancellation that the raw density expression suffers where f' ~ 1/s.
 Interior stencils are fourth order (second order only at the two nodes
 adjacent to the boundary rows, where the correction is locally constant),
-Newton steps are damped by residual backtracking, and each t-step warm
-starts from the previous one.
+Newton steps are damped by residual backtracking, and step-length control
+picks the steps in t; each attempt warm starts from the last accepted u.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ class PathConfig:
     The volume perturbation is f0(s) = c (1 - ((s - s0)/w)^2)^3 on
     |s - s0| <= w and zero outside; C^2 regularity at the seams is enough
     for the discretization orders used here.  No field sets a Newton
-    tolerance: newton_continuity_solve stops at its round-off floor.
+    tolerance or the steps in t: newton_continuity_solve picks both.
     """
 
     n: int
@@ -119,7 +119,6 @@ class PathConfig:
     w: float
     c: float
     r_order: int = 1
-    t_steps: int = 10
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
@@ -130,8 +129,6 @@ class PathConfig:
             raise ValueError(f"bump half-width must be positive, got {self.w}")
         if not isinstance(self.r_order, int) or self.r_order < 1:
             raise ValueError(f"group order must be an integer >= 1, got {self.r_order!r}")
-        if self.t_steps < 1:
-            raise ValueError("need at least one continuity step")
 
     def validate_against(self, grid: RadialGrid) -> None:
         if not (self.s0 - self.w > grid.s_min and self.s0 + self.w < grid.s_max):
@@ -217,7 +214,7 @@ def oracle_effective_constant(config: PathConfig) -> float:
 
 
 @dataclass
-class TStep:
+class TStep:  # one Newton attempt at a fixed t
     t: float
     residuals: list[float] = field(default_factory=list)
     step_sizes: list[float] = field(default_factory=list)
@@ -225,6 +222,9 @@ class TStep:
 
 @dataclass
 class PathTrace:
+    """Every attempt of a continuity path in order, rejected ones included: an
+    attempt was rejected exactly when the next attempt's t is not larger."""
+
     steps: list[TStep] = field(default_factory=list)
 
     @property
@@ -254,6 +254,7 @@ _STENCILS = {
 # LAPACK band storage, band[_UPPER + i - j, j] = A[i, j].  The rows of the
 # Newton Jacobian reach _LOWER columns left and _UPPER right; d1_last reaches 4 left.
 _LOWER, _UPPER = 2, 4
+_MIN_DT = 2.0**-10  # the smallest step in t the continuity path tries before it gives up
 
 
 def _stencil_band(grid: RadialGrid, layout, lower: int = _LOWER) -> np.ndarray:
@@ -279,11 +280,12 @@ def _band_apply(band: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jacobian(d1: np.ndarray, d2: np.ndarray, boundary: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Band storage of d2 + diag(c) d1 + boundary; window r of the padded c is
-    c at the rows j + r - _UPPER of band r's cells."""
-    rows_of_c = np.lib.stride_tricks.sliding_window_view(np.pad(c, (_UPPER, _LOWER)), c.size)
-    return d2 + rows_of_c * d1 + boundary
+def _jacobian(d1: np.ndarray, d2: np.ndarray, boundary: np.ndarray):
+    """The map c -> band storage of d2 + diag(c) d1 + boundary.  Built once: d2 + boundary (exact,
+    their nonzero rows are disjoint) and the row of every cell, clipped outside the matrix where d1 is 0."""
+    r, j = np.indices(d1.shape)  # cell (r, j) lies in row j + r - _UPPER
+    rows, constant = np.clip(j + r - _UPPER, 0, d1.shape[1] - 1), d2 + boundary
+    return lambda c: constant + c[rows] * d1
 
 
 def _interior_operators(grid: RadialGrid):
@@ -307,10 +309,15 @@ def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
     integral constant cannot change through the inner boundary) and
     u(s_max) = 0 is the far-field normalization.  Every accepted Newton step
     strictly decreases the residual and keeps f' and the discrete density
-    positive; exhaustion of the backtracking raises SolverFailure with the
-    trace collected so far.
+    positive.
 
-    A t-step ends once the max-norm residual drops below max(1e-11, floor)
+    Step-length control picks the steps in t: an attempt runs Newton at t =
+    min(1, last accepted t + dt) from the last accepted u, first with dt = 1 and
+    u = 0.  It stalls when backtracking is exhausted or after 60 iterations; dt
+    halves after a stall and doubles after a success, and below _MIN_DT the
+    last stall raises SolverFailure with every attempt's trace.
+
+    An attempt ends once the max-norm residual drops below max(1e-11, floor)
     (the only stopping rule), where floor =
     4 eps max(s (f'_bg)^{1-n} + |s e^{t f0} P^{1-n}| + (64/12) max|u| / h^2)
     bounds the round-off in evaluating G at the current iterate (64/12 sums
@@ -318,7 +325,7 @@ def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
     evaluated once per iterate; the accepted line-search trial's values carry over.
 
     Each step is one LAPACK band LU solve (gbsv via solve_banded) with the
-    (2, 4)-band Jacobian; a singular or non-finite Jacobian raises SolverFailure.
+    (2, 4)-band Jacobian; a singular or non-finite one raises SolverFailure at once.
     """
     config.validate_against(grid)
     n = config.n
@@ -326,6 +333,7 @@ def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
     d1, d2 = _interior_operators(grid)
     boundary = _stencil_band(grid, [([0], "d1_first"), ([grid.m - 1], "value")])
     neumann = boundary[_UPPER - np.arange(5), np.arange(5)]  # row 0, the d1_first weights
+    jacobian = _jacobian(d1, d2, boundary)
     qb = calabi_profile(n, config.calabi_c, grid).values
     swb = s * qb ** (1 - n)  # s * (f'_bg + s f''_bg) via the exact density identity
     f0 = bump_values(config, s)
@@ -346,16 +354,11 @@ def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
         g[-1] = u[-1]
         return g, p, w, nonlinear
 
-    u = np.zeros(grid.m)
-    trace = PathTrace()
-    max_halvings = 30
-    for k in range(1, config.t_steps + 1):
-        t = k / config.t_steps
+    def attempt(t, u, step):
+        """Newton at fixed t from u: (converged u, None), or (None, why it stalled)."""
         rhs = np.exp(t * f0)
-        step = TStep(t=t)
-        trace.steps.append(step)
-        # P = f'_bg + u_x / s depends on u alone: u = 0 gives P = f'_bg > 0 and
-        # the line search accepts only P > 0, so g is never None here
+        # P = f'_bg + u_x / s depends on u alone, and u is 0 (P = f'_bg > 0) or an
+        # iterate the line search accepted (P > 0), so g is never None here
         g, p, _, nonlinear = residual(u, rhs)
         for _ in range(60):
             res = float(np.max(np.abs(g)))
@@ -363,36 +366,39 @@ def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
             terms = swb + np.abs(nonlinear) + (64 / 12) * np.max(np.abs(u)) / grid.h**2
             floor = 4 * np.finfo(float).eps * float(np.max(terms))
             if res < max(1e-11, floor):
-                break
-            jac = _jacobian(d1, d2, boundary, (n - 1) * rhs * p ** (-float(n)))
+                return u, None
             try:
-                delta = solve_banded((_LOWER, _UPPER), jac, -g)
+                delta = solve_banded((_LOWER, _UPPER), jacobian((n - 1) * rhs * p ** (-float(n))), -g)
             except ValueError as exc:  # a singular (LinAlgError) or non-finite Jacobian
                 raise SolverFailure(f"Newton step failed at t = {t}: {exc}", trace) from exc
             alpha = 1.0
-            for _ in range(max_halvings + 1):
+            for _ in range(31):  # up to 30 halvings
                 u_new = u + alpha * delta
                 g_new, p_new, w_new, nonlinear_new = residual(u_new, rhs)
-                if (
-                    g_new is not None
-                    and float(np.max(np.abs(g_new))) < res
-                    and np.all(w_new[1:-1] > 0)
-                ):
+                if g_new is not None and float(np.max(np.abs(g_new))) < res and np.all(w_new[1:-1] > 0):
                     break
                 alpha *= 0.5
-            else:
-                bad = f"damping exhausted at residual {res:.3g}, round-off floor {floor:.3g}"
+            else:  # "not > 0" rather than "<= 0" below: a NaN density must name its node too
                 if g_new is None:
-                    bad = "f' non-positive under every damping"
-                elif not np.all(w_new[1:-1] > 0):
-                    # "not > 0" rather than "<= 0": a NaN density must name its node too
+                    return None, "f' non-positive under every damping"
+                if not np.all(w_new[1:-1] > 0):
                     node = int(np.flatnonzero(~(w_new[1:-1] > 0))[0]) + 1
-                    bad = f"density not positive at node {node} (s = {s[node]:.6g})"
-                raise SolverFailure(f"Newton stalled at t = {t}: {bad}", trace)
+                    return None, f"density not positive at node {node} (s = {s[node]:.6g})"
+                return None, f"damping exhausted at residual {res:.3g}, round-off floor {floor:.3g}"
             step.step_sizes.append(alpha)
             u, g, p, nonlinear = u_new, g_new, p_new, nonlinear_new
-        else:
-            raise SolverFailure(f"Newton did not converge at t = {t}", trace)
+        return None, "did not converge in 60 iterations"
+
+    u, trace = np.zeros(grid.m), PathTrace()
+    done, dt = 0.0, 1.0  # t of the last accepted u, and the next step length
+    while done < 1.0:
+        t = min(1.0, done + dt)
+        trace.steps.append(step := TStep(t=t))
+        u_t, stall = attempt(t, u, step)
+        if stall is None:
+            u, done, dt = u_t, t, 2 * dt
+        elif (dt := dt / 2) < _MIN_DT:
+            raise SolverFailure(f"Newton stalled at t = {t}: {stall}", trace)
     return RadialProfile(grid=grid, values=u), trace
 
 
@@ -449,11 +455,8 @@ def decay_fit(u: RadialProfile, config: PathConfig, *, correction_only: bool = F
     """
     grid = u.grid
     s = grid.s
-    q = total_fprime(u, config).values
-    if correction_only:
-        target = q - calabi_profile(config.n, config.calabi_c, grid).values
-    else:
-        target = q - 1.0
+    reference = calabi_profile(config.n, config.calabi_c, grid).values if correction_only else 1.0
+    target = total_fprime(u, config).values - reference
     lo_s = FIT_SUPPORT_MARGIN * (config.s0 + config.w) if config.c != 0 else 0.0
     hi_s = grid.s_max * FIT_EDGE_FRACTION
     mask = (s > lo_s) & (s < hi_s) & (np.abs(target) < FIT_AMP_HI) & (np.abs(target) > FIT_AMP_LO)

@@ -136,8 +136,8 @@ def test_failed_band_solve_is_a_solver_failure(tmp_path, monkeypatch, capsys, er
     assert main(["radial", str(run), "--json", "-"]) == 3
     report = json.loads(capsys.readouterr().out)
     assert report["solver"]["converged"] is False
-    assert report["solver"]["error"] == f"Newton step failed at t = 0.1: {error}"
-    assert report["solver"]["trace_excerpt"][-1]["t"] == 0.1
+    assert report["solver"]["error"] == f"Newton step failed at t = 1.0: {error}"
+    assert [step["t"] for step in report["solver"]["trace_excerpt"]] == [1.0]   # not retried at a smaller t
 
 
 def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
@@ -328,7 +328,8 @@ def test_radial_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     run.write_text("n = 3\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = -0.25\nnodes = 128\n")
     assert main(["radial", str(run), "--json", "-"]) == 3
     solver = json.loads(capsys.readouterr().out)["solver"]
-    assert solver["error"].startswith("Newton stalled at t = 0.1: damping exhausted at residual ")
+    # every attempt stalls, down to the smallest step in t
+    assert solver["error"].startswith(f"Newton stalled at t = {radial._MIN_DT}: damping exhausted at residual ")
     assert solver["trace_excerpt"] and solver["trace_excerpt"][-1]["residuals"]
 
 

@@ -87,7 +87,6 @@ def test_parse_run_file():
     assert config.calabi_c == 1.0 and config.c == -0.25
     assert grid.m == 256
     assert grid.s_min == 1e-2 and grid.s_max == 1e4   # defaults
-    assert config.t_steps == 10
 
 
 @pytest.mark.parametrize(
@@ -98,6 +97,7 @@ def test_parse_run_file():
         ("n = 3\nn = 4\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = 0.0\n", 2),
         ("n = 3\nC 1.0\n", 2),
         ("n = 3\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = 0.0\nnewton_tol = 1e-11\n", 6),   # removed key
+        ("n = 3\nC = 1.0\nt_steps = 10\ns0 = 5.0\nw = 2.0\nc = 0.0\n", 3),   # removed key
     ],
 )
 def test_parse_run_file_errors(text, bad_line):

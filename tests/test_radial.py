@@ -249,7 +249,7 @@ def _readme_jacobian(m):
     ref1, ref2, full = _row_by_row_operators(m, grid.h)
     dense_boundary = np.zeros((m, m))
     dense_boundary[0], dense_boundary[-1, -1] = full[0], 1.0   # Neumann and Dirichlet rows
-    return _jacobian(d1, d2, boundary, c), ref2 + c[:, None] * ref1 + dense_boundary
+    return _jacobian(d1, d2, boundary)(c), ref2 + c[:, None] * ref1 + dense_boundary
 
 
 def test_band_jacobian_matches_dense_assembly():
@@ -272,7 +272,7 @@ def test_newton_zero_bump_returns_zero():
     u, trace = newton_continuity_solve(cfg(c=0.0), GRID)
     assert np.all(u.values == 0.0)
     assert trace.newton_iterations == 0
-    assert len(trace.steps) == 10
+    assert len(trace.steps) == 1
 
 
 def test_newton_matches_oracle():
@@ -307,10 +307,10 @@ def test_newton_grid_contraction():
 
 def test_readme_config_converges_at_4096_nodes():
     # the round-off floor of G exceeds 1e-11 here (a fixed 1e-11 tolerance
-    # would stall at t = 0.7); each t-step stops at max(1e-11, floor)
+    # would stall); each attempt stops at max(1e-11, floor)
     config = cfg(n=3, C=1.0, c=-0.25, r_order=7)
     u, trace = newton_continuity_solve(config, RadialGrid(1e-2, 1e4, 4096))
-    assert len(trace.steps) == config.t_steps
+    assert [step.t for step in trace.steps] == [1.0]   # one attempt covers the whole path
     assert oracle_deviation(u, config) < 1e-10
 
 
@@ -328,11 +328,36 @@ def zero_step(l_and_u, ab, b, **kwargs):
 
 def test_solver_failure_carries_trace(monkeypatch):
     monkeypatch.setattr(radial, "solve_banded", zero_step)
-    stall = r"^Newton stalled at t = 0\.1: damping exhausted at residual "
+    # every attempt stalls, down to the smallest step in t
+    stall = rf"^Newton stalled at t = {radial._MIN_DT}: damping exhausted at residual "
     with pytest.raises(SolverFailure, match=stall) as err:
         newton_continuity_solve(cfg(c=-0.25), RadialGrid(1e-2, 1e4, 256))
     assert err.value.trace is not None
     assert err.value.trace.steps and err.value.trace.steps[0].residuals
+    # a bounded number of attempts, all from u = 0: dt = 1, 1/2, ..., _MIN_DT
+    attempts = round(-math.log2(radial._MIN_DT)) + 1
+    assert [step.t for step in err.value.trace.steps] == [2.0**-k for k in range(attempts)]
+
+
+def test_path_takes_one_step_where_a_fixed_path_stalls():
+    # a fixed path of ten equal steps stalls here at t = 0.7 on both grids (the
+    # density turns negative near the bump's centre); the whole path in one step does not
+    config = cfg(n=2, C=1e-3, c=-40.0)
+    deviations = []
+    for m in (2048, 4096):
+        u, trace = newton_continuity_solve(config, RadialGrid(1e-2, 1e4, m))
+        assert [step.t for step in trace.steps] == [1.0]
+        deviations.append(oracle_deviation(u, config))
+    # e^{f0} reaches e^{-40}: the discretization error is 2.1e-6 at 2048 nodes
+    assert deviations[0] <= 1e-5 and deviations[1] <= 1e-6
+    assert deviations[0] / deviations[1] >= 3.5
+
+
+def test_path_halves_the_step_after_a_stall():
+    config = cfg(n=4, C=1e-6, c=-30.0)
+    u, trace = newton_continuity_solve(config, RadialGrid(1e-2, 1e4, 1024))
+    assert [step.t for step in trace.steps] == [1.0, 0.5, 1.0]   # t = 1 rejected, then two steps
+    assert oracle_deviation(u, config) <= 1e-4
 
 
 def test_newton_evaluates_each_iterate_once(monkeypatch):
@@ -346,8 +371,8 @@ def test_newton_evaluates_each_iterate_once(monkeypatch):
     config = cfg(n=3, C=1.0, c=-0.25, r_order=7)   # the README configuration
     _, trace = newton_continuity_solve(config, RadialGrid(1e-2, 1e4, 2048))
     halvings = sum(round(-math.log2(a)) for st in trace.steps for a in st.step_sizes)
-    # one residual (a d1 and a d2 product) per t-step start and per line-search trial
-    assert len(calls) == 2 * (config.t_steps + trace.newton_iterations + halvings)
+    # one residual (a d1 and a d2 product) per attempt start and per line-search trial
+    assert len(calls) == 2 * (len(trace.steps) + trace.newton_iterations + halvings)
 
 
 def test_decay_fit_background():
