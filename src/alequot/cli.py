@@ -46,7 +46,7 @@ from .surface import (
 # first use, by radial_report or by attribute access, so the exact commands
 # never load either; a name that is already bound (patched, say) is kept.
 _RADIAL_NAMES = ("DecayFitError", "KahlerConeError", "SolverFailure", "decay_fit",
-                 "mass_integral", "newton_continuity_solve", "oracle_deviation")
+                 "mass_integral", "newton_continuity_solve", "oracle_deviation", "total_fprime")
 
 
 def _bind_radial() -> None:
@@ -251,7 +251,8 @@ def radial_report(text: str) -> tuple[dict, int]:
     }
     try:
         u, trace = newton_continuity_solve(config, grid)
-        deviation = oracle_deviation(u, config)
+        fprime = total_fprime(u, config)  # the one f' the oracle, the decay fit and the mass read
+        deviation = oracle_deviation(fprime, config)
     except (SolverFailure, KahlerConeError) as exc:
         failed = getattr(exc, "trace", None)
         excerpt = [
@@ -275,7 +276,7 @@ def radial_report(text: str) -> tuple[dict, int]:
     }
     decay_entry: dict
     try:
-        fit = decay_fit(u, config)
+        fit = decay_fit(fprime, config)
         decay_entry = {
             "exponent_s": real_str(fit.exponent),
             "exponent_r": real_str(fit.exponent_in_r),
@@ -293,7 +294,7 @@ def radial_report(text: str) -> tuple[dict, int]:
         mass_entry = {"verdict": NA, "reason": "mass normalization needs n >= 3"}
     else:
         try:
-            mass = mass_integral(config, u)
+            mass = mass_integral(config, fprime)
         except DecayFitError as exc:
             mass_entry = {"verdict": FAIL, "error": str(exc)}
         else:

@@ -126,31 +126,26 @@ def parse_subdivision_file(text: str) -> tuple[CyclicQuotient, list[LatticeCone]
     return quotient, cones
 
 
+# run-file key -> (PathConfig or RadialGrid field, type, default; None when the key
+# is required).  No key sets a Newton tolerance or the steps in t: newton_continuity_solve picks both.
 _RUN_KEYS = {
-    "n": int,
-    "r": int,
-    "C": float,
-    "s0": float,
-    "w": float,
-    "c": float,
-    "s_min": float,
-    "s_max": float,
-    "nodes": int,
-}
-
-# no key sets a Newton tolerance or the steps in t: newton_continuity_solve picks both
-_RUN_DEFAULTS = {
-    "r": 1,
-    "s_min": 1e-2,
-    "s_max": 1e4,
-    "nodes": 2048,
+    "n": ("n", int, None),
+    "r": ("r_order", int, 1),
+    "C": ("calabi_c", float, None),
+    "s0": ("s0", float, None),
+    "w": ("w", float, None),
+    "c": ("c", float, None),
+    "s_min": ("s_min", float, 1e-2),
+    "s_max": ("s_max", float, 1e4),
+    "nodes": ("m", int, 2048),
 }
 
 
 def parse_run_file(text: str) -> tuple[PathConfig, RadialGrid]:
-    """Parse a flat key = value run file into a PathConfig and its grid."""
+    """Parse a flat key = value run file into a PathConfig and its grid.  A rejected value
+    is reported at the last line that set a field its check reads (line 1 if none did)."""
     from .radial import PathConfig, RadialGrid  # numpy/scipy load with the first run file
-    seen: dict[str, object] = {}
+    seen: dict[str, tuple[object, int]] = {}  # key -> (value, line)
     for lineno, line in _content_lines(text):
         if "=" not in line:
             raise ParseError(lineno, "expected key = value")
@@ -160,28 +155,23 @@ def parse_run_file(text: str) -> tuple[PathConfig, RadialGrid]:
             raise ParseError(lineno, f"unknown key {key!r}")
         if key in seen:
             raise ParseError(lineno, f"duplicate key {key!r}")
+        kind = _RUN_KEYS[key][1]
         try:
-            seen[key] = _RUN_KEYS[key](value)
+            seen[key] = kind(value), lineno
         except ValueError:
-            raise ParseError(lineno, f"cannot parse {value!r} as {_RUN_KEYS[key].__name__}") from None
-        if _RUN_KEYS[key] is float and not math.isfinite(seen[key]):
+            raise ParseError(lineno, f"cannot parse {value!r} as {kind.__name__}") from None
+        if kind is float and not math.isfinite(seen[key][0]):
             raise ParseError(lineno, f"{key} must be finite, got {value!r}")
-    missing = [k for k in ("n", "C", "s0", "w", "c") if k not in seen]
+    missing = [key for key, (_, _, default) in _RUN_KEYS.items() if default is None and key not in seen]
     if missing:
         raise ParseError(1, f"missing required keys: {', '.join(missing)}")
-    params = dict(_RUN_DEFAULTS)
-    params.update(seen)
+    fields = {name: seen[key][0] if key in seen else default for key, (name, _, default) in _RUN_KEYS.items()}
+    grid_fields = {name: fields.pop(name) for name in ("s_min", "s_max", "m")}
     try:
-        config = PathConfig(
-            n=params["n"],
-            calabi_c=params["C"],
-            s0=params["s0"],
-            w=params["w"],
-            c=params["c"],
-            r_order=params["r"],
-        )
-        grid = RadialGrid(s_min=params["s_min"], s_max=params["s_max"], m=params["nodes"])
+        config = PathConfig(**fields)
+        grid = RadialGrid(**grid_fields)
         config.validate_against(grid)
     except ValueError as exc:
-        raise ParseError(1, str(exc)) from None
+        checked = [line for key, (_, line) in seen.items() if _RUN_KEYS[key][0] in getattr(exc, "fields", ())]
+        raise ParseError(max(checked, default=1), str(exc)) from None
     return config, grid

@@ -60,6 +60,14 @@ class DecayFitError(ValueError):
     """Tail fit is unreliable (window too short or signal below noise)."""
 
 
+class _Rejected(ValueError):
+    """A PathConfig or RadialGrid value out of range; `fields` names the fields the check read."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Logarithmic grid in s = r^2 with m nodes on [s_min, s_max]."""
@@ -70,9 +78,9 @@ class RadialGrid:
 
     def __post_init__(self):
         if not (0 < self.s_min < self.s_max):
-            raise ValueError(f"need 0 < s_min < s_max, got [{self.s_min}, {self.s_max}]")
+            raise _Rejected(f"need 0 < s_min < s_max, got [{self.s_min}, {self.s_max}]", "s_min", "s_max")
         if self.m < 16:
-            raise ValueError(f"need at least 16 nodes, got {self.m}")
+            raise _Rejected(f"need at least 16 nodes, got {self.m}", "m")
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -85,6 +93,24 @@ class RadialGrid:
     @property
     def h(self) -> float:
         return (math.log(self.s_max) - math.log(self.s_min)) / (self.m - 1)
+
+    @cached_property
+    def bands(self) -> tuple[np.ndarray, ...]:
+        """(d1, d2, boundary, full, rows), read-only and built once per grid.  d1, d2: d/dx and
+        d2/dx2, fourth order inside, second order in rows 1 and m - 2 (the correction is locally
+        constant there), 0 in the boundary rows; boundary: the Neumann and Dirichlet rows; full:
+        fourth-order d/dx at every node (4 lower bands); rows: the row of each (2, 4) band cell."""
+        m = self.m
+        near, inner, last = range(1, m - 1, m - 3), range(2, m - 2), range(m - 1, m)  # near: rows 1, m - 2
+        d1, d2 = (_stencil_band(self, {f"{d}_o2": near, d: inner}) for d in ("d1", "d2"))
+        boundary = _stencil_band(self, {"d1_first": range(1), "value": last})
+        full = _stencil_band(self, {"d1_first": range(1), "d1_second": range(1, 2), "d1": inner,
+                                    "d1_penultimate": range(m - 2, m - 1), "d1_last": last}, lower=4)
+        rows = np.arange(-_UPPER, _LOWER + 1)[:, None] + np.arange(m)  # cell (r, j) lies in row j + r - _UPPER
+        bands = (d1, d2, boundary, full, rows.clip(0, m - 1))
+        for band in bands:
+            band.flags.writeable = False
+        return bands
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,19 +148,19 @@ class PathConfig:
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"complex dimension must be an integer >= 2, got {self.n!r}")
+            raise _Rejected(f"complex dimension must be an integer >= 2, got {self.n!r}", "n")
         if not self.calabi_c > 0:
-            raise ValueError(f"Calabi parameter must be positive, got {self.calabi_c}")
+            raise _Rejected(f"Calabi parameter must be positive, got {self.calabi_c}", "calabi_c")
         if not self.w > 0:
-            raise ValueError(f"bump half-width must be positive, got {self.w}")
+            raise _Rejected(f"bump half-width must be positive, got {self.w}", "w")
         if not isinstance(self.r_order, int) or self.r_order < 1:
-            raise ValueError(f"group order must be an integer >= 1, got {self.r_order!r}")
+            raise _Rejected(f"group order must be an integer >= 1, got {self.r_order!r}", "r_order")
 
     def validate_against(self, grid: RadialGrid) -> None:
         if not (self.s0 - self.w > grid.s_min and self.s0 + self.w < grid.s_max):
-            raise ValueError(
+            raise _Rejected(
                 f"bump support [{self.s0 - self.w}, {self.s0 + self.w}] must be interior to "
-                f"[{grid.s_min}, {grid.s_max}]"
+                f"[{grid.s_min}, {grid.s_max}]", "s0", "w", "s_min", "s_max"
             )
 
 
@@ -259,14 +285,14 @@ _MIN_DT = 2.0**-10  # the smallest step in t the continuity path tries before it
 
 def _stencil_band(grid: RadialGrid, layout, lower: int = _LOWER) -> np.ndarray:
     """Band storage of the operator whose rows apply the named stencils of
-    `layout` (row indices, name); other rows and cells outside the matrix are 0."""
+    `layout` (name -> row range); other rows and cells outside the matrix are 0."""
     band = np.zeros((lower + _UPPER + 1, grid.m))
-    for index, name in layout:
+    for name, rows in layout.items():
         first, weights, denominator, order = _STENCILS[name]
         # multiplied left to right: (12 h) h does not round like 12 (h h)
         coeffs = np.array(weights, dtype=float) / math.prod([denominator] + [grid.h] * order)
         for k, coeff in enumerate(coeffs):  # weight k sits in column i + first + k
-            band[_UPPER - first - k, np.asarray(index) + first + k] = coeff
+            band[_UPPER - first - k, rows.start + first + k:rows.stop + first + k:rows.step] = coeff
     return band
 
 
@@ -280,26 +306,12 @@ def _band_apply(band: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jacobian(d1: np.ndarray, d2: np.ndarray, boundary: np.ndarray):
-    """The map c -> band storage of d2 + diag(c) d1 + boundary.  Built once: d2 + boundary (exact,
-    their nonzero rows are disjoint) and the row of every cell, clipped outside the matrix where d1 is 0."""
-    r, j = np.indices(d1.shape)  # cell (r, j) lies in row j + r - _UPPER
-    rows, constant = np.clip(j + r - _UPPER, 0, d1.shape[1] - 1), d2 + boundary
+def _jacobian(grid: RadialGrid):
+    """The map c -> band storage of d2 + diag(c) d1 + boundary.  d2 + boundary is summed
+    once (exact, their nonzero rows are disjoint); c is gathered by the grid's row index."""
+    d1, d2, boundary, _, rows = grid.bands
+    constant = d2 + boundary
     return lambda c: constant + c[rows] * d1
-
-
-def _interior_operators(grid: RadialGrid):
-    """Banded d/dx and d2/dx2: fourth order inside, second order in the two rows
-    next to the boundary (the correction is locally constant there), empty boundary rows."""
-    inner, near = np.arange(2, grid.m - 2), [1, grid.m - 2]
-    return tuple(_stencil_band(grid, [(near, f"{d}_o2"), (inner, d)]) for d in ("d1", "d2"))
-
-
-def _first_derivative(grid: RadialGrid) -> np.ndarray:
-    """Fourth-order d/dx at every node, one-sided and skewed near the ends (4 lower bands)."""
-    m = grid.m
-    ends = [([0], "d1_first"), ([1], "d1_second"), ([m - 2], "d1_penultimate"), ([m - 1], "d1_last")]
-    return _stencil_band(grid, ends + [(np.arange(2, m - 2), "d1")], lower=4)
 
 
 def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
@@ -330,10 +342,9 @@ def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
     config.validate_against(grid)
     n = config.n
     s = grid.s
-    d1, d2 = _interior_operators(grid)
-    boundary = _stencil_band(grid, [([0], "d1_first"), ([grid.m - 1], "value")])
+    d1, d2, boundary, _, _ = grid.bands
     neumann = boundary[_UPPER - np.arange(5), np.arange(5)]  # row 0, the d1_first weights
-    jacobian = _jacobian(d1, d2, boundary)
+    jacobian = _jacobian(grid)
     qb = calabi_profile(n, config.calabi_c, grid).values
     swb = s * qb ** (1 - n)  # s * (f'_bg + s f''_bg) via the exact density identity
     f0 = bump_values(config, s)
@@ -404,16 +415,14 @@ def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
 
 def total_fprime(u: RadialProfile, config: PathConfig) -> RadialProfile:
     """f' of the solved metric: background plus the differentiated correction."""
-    grid = u.grid
-    qb = calabi_profile(config.n, config.calabi_c, grid).values
-    return RadialProfile(grid=grid, values=qb + _band_apply(_first_derivative(grid), u.values) / grid.s)
+    qb = calabi_profile(config.n, config.calabi_c, u.grid).values
+    return RadialProfile(grid=u.grid, values=qb + _band_apply(u.grid.bands[3], u.values) / u.grid.s)
 
 
-def oracle_deviation(u: RadialProfile, config: PathConfig) -> float:
-    """Relative max-norm distance between the solved f' and the quadrature oracle."""
-    q_newton = total_fprime(u, config).values
-    q_oracle = quadrature_oracle(config, u.grid).values
-    return float(np.max(np.abs(q_newton - q_oracle)) / np.max(np.abs(q_oracle)))
+def oracle_deviation(fprime: RadialProfile, config: PathConfig) -> float:
+    """Relative max-norm distance between the solved f' (total_fprime) and the quadrature oracle."""
+    q_oracle = quadrature_oracle(config, fprime.grid).values
+    return float(np.max(np.abs(fprime.values - q_oracle)) / np.max(np.abs(q_oracle)))
 
 
 @dataclass(frozen=True)
@@ -439,8 +448,8 @@ FIT_SUPPORT_MARGIN = 3.0
 FIT_EDGE_FRACTION = 0.25
 
 
-def decay_fit(u: RadialProfile, config: PathConfig, *, correction_only: bool = False) -> DecayFit:
-    """Fit the far-field power of the solved potential.
+def decay_fit(fprime: RadialProfile, config: PathConfig, *, correction_only: bool = False) -> DecayFit:
+    """Fit the far-field power of the solved potential from its f' (total_fprime).
 
     Writing f(s) = s + const + B s^p + ... , the derivative tail is
     f' - 1 = B p s^{p-1}, so a straight least-squares line through
@@ -453,10 +462,10 @@ def decay_fit(u: RadialProfile, config: PathConfig, *, correction_only: bool = F
     s_max), of amplitudes where the next tail order contaminates the model
     (> FIT_AMP_HI) and of amplitudes below the noise floor (< FIT_AMP_LO).
     """
-    grid = u.grid
+    grid = fprime.grid
     s = grid.s
     reference = calabi_profile(config.n, config.calabi_c, grid).values if correction_only else 1.0
-    target = total_fprime(u, config).values - reference
+    target = fprime.values - reference
     lo_s = FIT_SUPPORT_MARGIN * (config.s0 + config.w) if config.c != 0 else 0.0
     hi_s = grid.s_max * FIT_EDGE_FRACTION
     mask = (s > lo_s) & (s < hi_s) & (np.abs(target) < FIT_AMP_HI) & (np.abs(target) > FIT_AMP_LO)
@@ -502,14 +511,14 @@ class MassReport:
     ratio: float | None
 
 
-def mass_integral(config: PathConfig, u: RadialProfile) -> MassReport:
+def mass_integral(config: PathConfig, fprime: RadialProfile) -> MassReport:
     """Evaluate the mass normalization integral and compare it with the tail
-    of the solved correction u (from newton_continuity_solve).
+    of the solved correction, read from f' = total_fprime(u, config).
 
     Only meaningful for n >= 3 (the normalization carries an n - 2 factor).
     The radial integral is -K(s0 + w)/2 (s = r^2), by the oracle's Gauss rule.
-    The fitted coefficient is the decay_fit of u alone (correction_only);
-    with no bump (c = 0) it is 0 and u is not read.  The reported ratio
+    The fitted coefficient is the decay_fit of f' - f'_bg (correction_only);
+    with no bump (c = 0) it is 0 and f' is not read.  The reported ratio
     fitted/formula is the reproducible quantity; its value absorbs
     convention factors that a purely radial model cannot pin down, so
     constancy across bump amplitudes is what callers should test.  Raises
@@ -523,7 +532,7 @@ def mass_integral(config: PathConfig, u: RadialProfile) -> MassReport:
     if config.c == 0:
         fitted, ratio = 0.0, None
     else:
-        fitted = decay_fit(u, config, correction_only=True).coefficient
+        fitted = decay_fit(fprime, config, correction_only=True).coefficient
         ratio = fitted / formula_a if formula_a != 0 else None
     return MassReport(
         radial_integral=radial,

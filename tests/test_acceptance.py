@@ -22,6 +22,7 @@ from alequot.radial import (
     mass_integral,
     newton_continuity_solve,
     oracle_deviation,
+    total_fprime,
 )
 from alequot.resolution import hj_resolution
 from alequot.surface import (
@@ -167,10 +168,10 @@ def solver_matrix():
                 u_coarse, _ = newton_continuity_solve(config, COARSE)
                 results[(n, calabi_c, c)] = {
                     "config": config,
-                    "dev_finest": oracle_deviation(u_finest, config),
-                    "dev_fine": oracle_deviation(u_fine, config),
-                    "dev_coarse": oracle_deviation(u_coarse, config),
-                    "fit": decay_fit(u_fine, config),
+                    "dev_finest": oracle_deviation(total_fprime(u_finest, config), config),
+                    "dev_fine": oracle_deviation(total_fprime(u_fine, config), config),
+                    "dev_coarse": oracle_deviation(total_fprime(u_coarse, config), config),
+                    "fit": decay_fit(total_fprime(u_fine, config), config),
                 }
     return results
 
@@ -203,7 +204,7 @@ def test_criterion_8_decay_reproduction(solver_matrix):
         ok = ok and abs(fit.exponent - (1 - n)) <= 0.01 * abs(1 - n)
     background = PathConfig(n=3, calabi_c=1.0, s0=5.0, w=2.0, c=0.0)
     u0, _ = newton_continuity_solve(background, FINE)
-    fit0 = decay_fit(u0, background)
+    fit0 = decay_fit(total_fprime(u0, background), background)
     ok = ok and abs(fit0.exponent - (-2.0)) <= 0.02
     ok = ok and abs(fit0.coefficient - (-1.0 / 6.0)) <= 0.01 / 6.0
     elapsed = time.time() - t0
@@ -217,7 +218,7 @@ def test_criterion_9_mass_ratio_constancy():
     for c in (-0.5, -0.25, -0.1):
         config = PathConfig(n=3, calabi_c=1.0, s0=5.0, w=2.0, c=c, r_order=7)
         u, _ = newton_continuity_solve(config, FINE)
-        report = mass_integral(config, u)
+        report = mass_integral(config, total_fprime(u, config))
         ratios.append(report.ratio)
     spread = (max(ratios) - min(ratios)) / abs(sum(ratios) / len(ratios))
     ok = spread <= 0.02

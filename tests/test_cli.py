@@ -20,7 +20,7 @@ from alequot.cli import (
     sweep2d_report,
 )
 from alequot.radial import KahlerConeError
-from test_formats import FAN_74
+from test_formats import FAN_74, readme_run_file
 
 RUN_SMALL = "n = 3\nr = 7\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = -0.25\nnodes = 512\n"
 
@@ -120,6 +120,23 @@ def test_kahler_cone_error_is_a_solver_failure(tmp_path, monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["solver"]["converged"] is False
     assert "Kahler cone" in report["solver"]["error"]
+
+
+def test_radial_report_computes_fprime_once(monkeypatch):
+    import alequot.radial as radial
+
+    calls, original = [], radial.total_fprime
+
+    def counting(u, config):
+        calls.append(None)
+        return original(u, config)
+
+    # both names: the report's own call, and any call made inside the radial module
+    monkeypatch.setattr(radial, "total_fprime", counting)
+    monkeypatch.setattr(cli, "total_fprime", counting, raising=False)
+    _, code = radial_report(readme_run_file())
+    assert code == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("error", ["singular matrix", "array must not contain infs or NaNs"])

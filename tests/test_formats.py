@@ -98,6 +98,13 @@ def test_parse_run_file():
         ("n = 3\nC 1.0\n", 2),
         ("n = 3\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = 0.0\nnewton_tol = 1e-11\n", 6),   # removed key
         ("n = 3\nC = 1.0\nt_steps = 10\ns0 = 5.0\nw = 2.0\nc = 0.0\n", 3),   # removed key
+        # values PathConfig or RadialGrid rejects: the line of the key that set them
+        ("n = 3\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = 0.0\nnodes = 8\n", 6),
+        ("n = 3\nC = -1.0\ns0 = 5.0\nw = 2.0\nc = 0.0\n", 2),
+        ("n = 3\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = 0.0\ns_min = 4.0\nnodes = 256\n", 6),   # bump not interior
+        ("n = 3\ns_min = 20000\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = 0.0\n", 2),   # above the default s_max
+        # a check of several keys names the last line among them: s_min, then s0 and w
+        ("s_min = 4.0\nn = 3\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = 0.0\n", 5),
     ],
 )
 def test_parse_run_file_errors(text, bad_line):
@@ -106,11 +113,14 @@ def test_parse_run_file_errors(text, bad_line):
     assert err.value.line == bad_line
 
 
-def test_readme_run_file_example_parses():
+def readme_run_file() -> str:
+    """The first fenced block under "### Solver run files" in the README."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    section = readme.split("### Solver run files", 1)[1]
-    block = section.split("```\n", 2)[1]   # the first fenced block of the section
-    config, grid = parse_run_file(block)
+    return readme.split("### Solver run files", 1)[1].split("```\n", 2)[1]
+
+
+def test_readme_run_file_example_parses():
+    config, grid = parse_run_file(readme_run_file())
     assert (config.n, config.r_order, grid.m) == (3, 7, 2048)
 
 

@@ -17,10 +17,7 @@ from alequot.radial import (
     SolverFailure,
     _band_apply,
     _density_integral,
-    _first_derivative,
-    _interior_operators,
     _jacobian,
-    _stencil_band,
     bump_values,
     calabi_profile,
     decay_fit,
@@ -214,8 +211,7 @@ def _read_band(band):
 def test_stencil_table_matches_row_by_row_assembly():
     for m in (16, 17, 257):
         grid = RadialGrid(1e-2, 1e4, m)
-        d1, d2 = _interior_operators(grid)
-        full = _first_derivative(grid)
+        d1, d2, _, full, _ = grid.bands
         for built, reference in zip((d1, d2, full), _row_by_row_operators(m, grid.h)):
             dense, outside = _read_band(built)
             assert np.array_equal(dense, reference)     # bit for bit
@@ -227,7 +223,8 @@ def test_band_apply_sums_each_row_left_to_right():
     grid = RadialGrid(1e-2, 1e4, m)
     rng = np.random.default_rng(7)
     u = rng.standard_normal(m) * 10.0 ** rng.uniform(-3, 3, m)
-    bands = (*_interior_operators(grid), _first_derivative(grid))
+    d1, d2, _, full, _ = grid.bands
+    bands = (d1, d2, full)
     for band, reference in zip(bands, _row_by_row_operators(m, grid.h)):
         expected = []
         for row in reference:
@@ -244,12 +241,10 @@ def _readme_jacobian(m):
     config, grid = cfg(n=3, C=1.0, c=-0.25), RadialGrid(1e-2, 1e4, m)
     qb = calabi_profile(3, 1.0, grid).values
     c = (config.n - 1) * np.exp(bump_values(config, grid.s)) * qb ** (-3.0)
-    d1, d2 = _interior_operators(grid)
-    boundary = _stencil_band(grid, [([0], "d1_first"), ([m - 1], "value")])
     ref1, ref2, full = _row_by_row_operators(m, grid.h)
     dense_boundary = np.zeros((m, m))
     dense_boundary[0], dense_boundary[-1, -1] = full[0], 1.0   # Neumann and Dirichlet rows
-    return _jacobian(d1, d2, boundary)(c), ref2 + c[:, None] * ref1 + dense_boundary
+    return _jacobian(grid)(c), ref2 + c[:, None] * ref1 + dense_boundary
 
 
 def test_band_jacobian_matches_dense_assembly():
@@ -268,6 +263,23 @@ def test_band_step_matches_dense_solve():
     assert np.max(np.abs(step - reference)) <= 1e-10 * np.max(np.abs(reference))
 
 
+def test_bands_are_built_once_per_grid(monkeypatch):
+    config, grid = cfg(), RadialGrid(1e-2, 1e4, 256)
+    u, _ = newton_continuity_solve(config, grid)
+    calls, build = [], radial._stencil_band
+    monkeypatch.setattr(radial, "_stencil_band", lambda *args, **kw: calls.append(args) or build(*args, **kw))
+    newton_continuity_solve(config, grid)   # a second solve on the same grid
+    total_fprime(u, config)
+    assert calls == []
+
+
+def test_grid_bands_are_read_only():
+    for band in RadialGrid(1e-2, 1e4, 64).bands:
+        assert not band.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            band[0, 0] = 1
+
+
 def test_newton_zero_bump_returns_zero():
     u, trace = newton_continuity_solve(cfg(c=0.0), GRID)
     assert np.all(u.values == 0.0)
@@ -278,7 +290,7 @@ def test_newton_zero_bump_returns_zero():
 def test_newton_matches_oracle():
     config = cfg(n=3, C=1.0, c=-0.25)
     u, trace = newton_continuity_solve(config, GRID)
-    assert oracle_deviation(u, config) < 1e-6
+    assert oracle_deviation(total_fprime(u, config), config) < 1e-6
     assert u.values[-1] == 0.0   # far-field normalization
     # inner Neumann condition: one-sided fourth-order derivative vanishes
     h = GRID.h
@@ -300,8 +312,8 @@ def test_newton_grid_contraction():
     fine = RadialGrid(1e-2, 1e4, 1025)   # half the spacing
     u_c, _ = newton_continuity_solve(config, coarse)
     u_f, _ = newton_continuity_solve(config, fine)
-    dev_c = oracle_deviation(u_c, config)
-    dev_f = oracle_deviation(u_f, config)
+    dev_c = oracle_deviation(total_fprime(u_c, config), config)
+    dev_f = oracle_deviation(total_fprime(u_f, config), config)
     assert dev_c / dev_f >= 3.5
 
 
@@ -311,7 +323,7 @@ def test_readme_config_converges_at_4096_nodes():
     config = cfg(n=3, C=1.0, c=-0.25, r_order=7)
     u, trace = newton_continuity_solve(config, RadialGrid(1e-2, 1e4, 4096))
     assert [step.t for step in trace.steps] == [1.0]   # one attempt covers the whole path
-    assert oracle_deviation(u, config) < 1e-10
+    assert oracle_deviation(total_fprime(u, config), config) < 1e-10
 
 
 def test_path_stays_kahler():
@@ -347,7 +359,7 @@ def test_path_takes_one_step_where_a_fixed_path_stalls():
     for m in (2048, 4096):
         u, trace = newton_continuity_solve(config, RadialGrid(1e-2, 1e4, m))
         assert [step.t for step in trace.steps] == [1.0]
-        deviations.append(oracle_deviation(u, config))
+        deviations.append(oracle_deviation(total_fprime(u, config), config))
     # e^{f0} reaches e^{-40}: the discretization error is 2.1e-6 at 2048 nodes
     assert deviations[0] <= 1e-5 and deviations[1] <= 1e-6
     assert deviations[0] / deviations[1] >= 3.5
@@ -357,7 +369,7 @@ def test_path_halves_the_step_after_a_stall():
     config = cfg(n=4, C=1e-6, c=-30.0)
     u, trace = newton_continuity_solve(config, RadialGrid(1e-2, 1e4, 1024))
     assert [step.t for step in trace.steps] == [1.0, 0.5, 1.0]   # t = 1 rejected, then two steps
-    assert oracle_deviation(u, config) <= 1e-4
+    assert oracle_deviation(total_fprime(u, config), config) <= 1e-4
 
 
 def test_newton_evaluates_each_iterate_once(monkeypatch):
@@ -376,8 +388,9 @@ def test_newton_evaluates_each_iterate_once(monkeypatch):
 
 
 def test_decay_fit_background():
-    u, _ = newton_continuity_solve(cfg(n=3, C=1.0, c=0.0), GRID)
-    fit = decay_fit(u, cfg(n=3, C=1.0, c=0.0))
+    config = cfg(n=3, C=1.0, c=0.0)
+    u, _ = newton_continuity_solve(config, GRID)
+    fit = decay_fit(total_fprime(u, config), config)
     assert fit.exponent == pytest.approx(-2.0, rel=0.01)
     assert fit.exponent_in_r == pytest.approx(-4.0, rel=0.01)
     assert fit.coefficient == pytest.approx(-1.0 / 6.0, rel=0.01)
@@ -388,7 +401,7 @@ def test_decay_fit_exponent_universality():
     for n in (2, 3, 4):
         config = cfg(n=n, C=1.0, c=0.1)
         u, _ = newton_continuity_solve(config, GRID)
-        fit = decay_fit(u, config)
+        fit = decay_fit(total_fprime(u, config), config)
         assert fit.exponent == pytest.approx(1 - n, rel=0.01)
 
 
@@ -396,7 +409,7 @@ def test_decay_fit_unreliable_without_signal():
     config = cfg(n=3, C=1.0, c=0.0)
     u, _ = newton_continuity_solve(config, GRID)
     with pytest.raises(DecayFitError):
-        decay_fit(u, config, correction_only=True)
+        decay_fit(total_fprime(u, config), config, correction_only=True)
 
 
 def test_scaling_covariance():
@@ -413,7 +426,7 @@ def test_scaling_covariance():
 
 
 def test_mass_integral_zero_bump():
-    report = mass_integral(cfg(n=3, C=1.0, c=0.0, r_order=7), RadialProfile(GRID, np.zeros(GRID.m)))
+    report = mass_integral(cfg(n=3, C=1.0, c=0.0, r_order=7), calabi_profile(3, 1.0, GRID))
     assert report.radial_integral == 0.0
     assert report.formula_a == 0.0
     assert report.fitted_coefficient == 0.0
@@ -423,7 +436,7 @@ def test_mass_integral_zero_bump():
 def test_mass_integral_sign_and_volume():
     config = cfg(n=3, C=1.0, c=-0.25, r_order=7)
     u, _ = newton_continuity_solve(config, GRID)
-    report = mass_integral(config, u)
+    report = mass_integral(config, total_fprime(u, config))
     assert report.radial_integral > 0          # e^{f0} < 1 on the bump
     assert report.link_vol == pytest.approx(2 * math.pi**3 / (2 * 7), rel=1e-14)
     assert report.volume_integral == pytest.approx(report.link_vol * report.radial_integral)
