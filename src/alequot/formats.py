@@ -107,7 +107,7 @@ def parse_subdivision_file(text: str) -> tuple[CyclicQuotient, list[LatticeCone]
             gens = []
             for part in parts:
                 try:
-                    vec = tuple(int(f) for f in part.split())
+                    vec = tuple([int(f) for f in part.split()])
                 except ValueError:
                     raise ParseError(lineno, f"generator {part!r} is not an integer vector") from None
                 if len(vec) != dim:

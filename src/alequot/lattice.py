@@ -25,7 +25,7 @@ def _check_int_vec(v, what="vector"):
 
 def unit_vector(i: int, dim: int) -> IntVec:
     """Standard basis vector e_i (0-indexed)."""
-    return tuple(1 if j == i else 0 for j in range(dim))
+    return tuple([1 if j == i else 0 for j in range(dim)])
 
 
 def make_primitive(v: IntVec) -> IntVec:
@@ -36,7 +36,7 @@ def make_primitive(v: IntVec) -> IntVec:
         g = gcd(g, entry)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(entry // g for entry in v)
+    return tuple([entry // g for entry in v])
 
 
 def is_primitive(v: IntVec) -> bool:
@@ -84,7 +84,7 @@ class LatticeCone:
     generators: tuple[IntVec, ...]
 
     def __post_init__(self):
-        gens = tuple(tuple(g) for g in self.generators)
+        gens = tuple([tuple(g) for g in self.generators])
         object.__setattr__(self, "generators", gens)
         if len(gens) == 0:
             raise ValueError("cone needs at least one generator")

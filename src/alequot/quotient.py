@@ -64,14 +64,14 @@ class SingularityData:
     gorenstein_index: int       # smallest l >= 1 with l * gamma integral
     volume_density: Fraction    # vol(S^{2n-1}/mu_r) / vol(S^{2n-1}) = 1/r
 
-    gamma = property(lambda self: tuple(Fraction(x, self.quotient.r) for x in self.r_gamma))
+    gamma = property(lambda self: tuple([Fraction(x, self.quotient.r) for x in self.r_gamma]))
 
 
 def sigma_cone(q: CyclicQuotient) -> LatticeCone:
     """The presenting cone <v, e_2, ..., e_n> with v = (r, r-a_2, ..., r-a_n)."""
     n = q.dim
-    v = (q.r,) + tuple(q.r - a for a in q.weights)
-    gens = (v,) + tuple(unit_vector(i, n) for i in range(1, n))
+    v = (q.r,) + tuple([q.r - a for a in q.weights])
+    gens = (v,) + tuple([unit_vector(i, n) for i in range(1, n)])
     return LatticeCone(gens)
 
 

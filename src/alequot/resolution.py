@@ -71,7 +71,7 @@ class ChainResolution:
 
     @property
     def betas(self) -> tuple[Fraction, ...]:
-        return tuple(ray.beta for ray in self.rays)
+        return tuple([ray.beta for ray in self.rays])
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def chain_fan(chain: ChainResolution) -> FanSubdivision:
     """The fan of the chain resolution: consecutive boundary rays pair into cones."""
     v = chain.parent.sigma.generators[0]
     boundary = [(0, 1)] + [ray.w for ray in chain.rays] + [v]
-    cones = tuple(LatticeCone((p, qq)) for p, qq in zip(boundary, boundary[1:]))
+    cones = tuple([LatticeCone((p, qq)) for p, qq in zip(boundary, boundary[1:])])
     return FanSubdivision(parent=chain.parent, cones=cones, rays=chain.rays)
 
 
@@ -228,7 +228,7 @@ def angle_condition(obj: ChainResolution | FanSubdivision) -> AngleVerdict:
     as such rather than failed.
     """
     rays = obj.rays
-    labels = tuple(_classify(ray) for ray in rays)
+    labels = tuple([_classify(ray) for ray in rays])
     if not labels:
         status = "no-rays"
     elif any(lab == RAY_NON_KLT for lab in labels):
@@ -306,19 +306,19 @@ def validate_subdivision(sub: FanSubdivision) -> SubdivisionReport:
     sigma = data.sigma
     r = abs(sigma.determinant)
 
-    dets = tuple(abs(cone.determinant) for cone in sub.cones)
+    dets = tuple([abs(cone.determinant) for cone in sub.cones])
 
     # d / prod(beta_g) = d r^n / prod <g, r gamma>, summed over one denominator
     pairings = [[pairing(g, data.r_gamma) for g in cone.generators] for cone in sub.cones]
     covering_sum: Fraction | None = None
     if all(min(nums) > 0 for nums in pairings):
-        den = lcm(*(prod(nums) for nums in pairings))
+        den = lcm(*[prod(nums) for nums in pairings])
         scale = data.quotient.r ** sigma.dim
         terms = (d * scale * (den // prod(nums)) for d, nums in zip(dets, pairings))
         covering_sum = Fraction(sum(terms), den)
     covering_ok = covering_sum == r
 
-    ray_interior = tuple(contains_in_interior(ray.w, sigma) for ray in sub.rays)
+    ray_interior = tuple([contains_in_interior(ray.w, sigma) for ray in sub.rays])
 
     disjoint: bool | None = None
     if sigma.dim == 2:
@@ -345,5 +345,5 @@ def build_subdivision(data: SingularityData, cones) -> FanSubdivision:
     generator of sigma is declared as an exceptional ray with beta = <w, gamma>."""
     sigma_gens = set(data.sigma.generators)
     seen = dict.fromkeys(g for cone in cones for g in cone.generators if g not in sigma_gens)
-    rays = tuple(ExceptionalRay(w=w, num=pairing(w, data.r_gamma), den=data.quotient.r) for w in seen)
+    rays = tuple([ExceptionalRay(w=w, num=pairing(w, data.r_gamma), den=data.quotient.r) for w in seen])
     return FanSubdivision(parent=data, cones=tuple(cones), rays=rays)

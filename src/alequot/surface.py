@@ -102,7 +102,7 @@ class IntersectionMatrix:
 def _numerators(chain: ChainResolution) -> tuple[int, list[int]]:
     """(D, [D beta_j]): the least common denominator D of 1/r and the betas,
     which is r for a resolution, and every beta as an integer over it."""
-    den = lcm(chain.quotient.r, *(ray.den for ray in chain.rays))
+    den = lcm(chain.quotient.r, *[ray.den for ray in chain.rays])
     return den, [ray.num * (den // ray.den) for ray in chain.rays]
 
 
@@ -135,8 +135,8 @@ class EnergyBreakdown:
     total_num: int
     conditional: bool  # node terms rest on the normal-crossing tube limit
 
-    curve_terms = property(lambda self: tuple(Fraction(x, self.den) for x in self.curve_nums))
-    node_terms = property(lambda self: tuple(Fraction(x, self.den**2) for x in self.node_nums))
+    curve_terms = property(lambda self: tuple([Fraction(x, self.den) for x in self.curve_nums]))
+    node_terms = property(lambda self: tuple([Fraction(x, self.den**2) for x in self.node_nums]))
     group_term = property(lambda self: Fraction(self.group_num, self.den))
     total = property(lambda self: Fraction(self.total_num, self.den**2))
 
@@ -147,8 +147,8 @@ def energy(chain: ChainResolution) -> EnergyBreakdown:
     den, nums = _numerators(chain)
     k = len(nums)
     chi_star = [2] if k == 1 else [1] + [0] * (k - 2) + [1]
-    curve_nums = tuple((x - den) * chi for x, chi in zip(nums, chi_star))
-    node_nums = tuple(x * y - den * den for x, y in zip(nums, nums[1:]))
+    curve_nums = tuple([(x - den) * chi for x, chi in zip(nums, chi_star)])
+    node_nums = tuple([x * y - den * den for x, y in zip(nums, nums[1:])])
     group_num = -(den // chain.quotient.r)
     total_num = ((k + 1) * den + sum(curve_nums) + group_num) * den + sum(node_nums)
     return EnergyBreakdown(k + 1, den, curve_nums, node_nums, group_num, total_num, conditional=k > 1)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -386,6 +387,57 @@ def test_exact_reports_match_golden_digest(name, tmp_path, capsys):
         code = main(argv + ["--json", "-"])
         digest.update(f"{code}\n".encode() + capsys.readouterr().out.encode())
     assert digest.hexdigest() == GOLDEN_SHA256[name]
+
+
+WRITER_EDGE_CASES = [
+    {}, [], {"a": {}, "b": [], "c": [[], {}, [[]]]},
+    ["é", "漢字", "😀", "\x00\x1f\n\t\"\\/", " ", ""],
+    [0, -1, 10**40, -(10**40), 2**63],
+    [-0.0, 0.0, 1e-06, 1e16, 0.1, 1.5e300, float("nan"), float("inf"), float("-inf")],
+    (1, "a", (2, (3,)), ()), {"t": (True, False, None)}, True, None, "top", 7,
+]
+
+
+@pytest.mark.parametrize("value", WRITER_EDGE_CASES, ids=repr)
+def test_writer_matches_json_dumps_on_edge_cases(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+def test_writer_matches_json_dumps_on_reports(tmp_path, monkeypatch):
+    reports = []
+    monkeypatch.setattr(cli, "_emit", lambda report, code, json_path: reports.append(report) or code)
+    for name in sorted(GOLDEN_SHA256):
+        for argv in _golden_corpus(name, tmp_path):
+            main(argv)
+    reports.append(radial_report(readme_run_file())[0])
+    assert len(reports) > 1000
+    for report in reports:
+        assert cli._dumps(report) == json.dumps(report, indent=2)
+
+
+@pytest.mark.parametrize("value", [{"a": {1, 2}}, {1: "a"}, [object()]], ids=["set", "int-key", "object"])
+def test_writer_rejects_what_json_cannot_hold(value):
+    with pytest.raises(TypeError):
+        cli._dumps(value)
+
+
+def _unsized_tuple_builds(tree):
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name) and node.func.id == "tuple" and node.args \
+                and isinstance(node.args[0], ast.GeneratorExp):
+            yield node.lineno
+        if any(isinstance(a, ast.Starred) and isinstance(a.value, ast.GeneratorExp) for a in node.args):
+            yield node.lineno
+
+
+def test_no_tuple_is_built_from_a_generator():
+    # an unsized tuple drifts between free lists that only a rare full GC empties: exact-sweep peak RSS
+    src = Path(cli.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+             for line in _unsized_tuple_builds(ast.parse(path.read_text()))]
+    assert not found, f"tuple(<generator>) or *<generator> at {found}"
 
 
 PUBLIC_API = {
