@@ -22,6 +22,7 @@ import argparse
 import functools
 import json
 import sys
+from math import gcd
 
 from . import __version__
 from .formats import parse_run_file, parse_subdivision_file, rational_str, real_str
@@ -76,29 +77,25 @@ def _verdict(ok: bool) -> str:
     return PASS if ok else FAIL
 
 
-def _angle_certificate(verdict) -> dict:
-    if verdict.theorem_applies:
-        v = PASS
-    elif verdict.acceptable:
-        v = NA
-    else:
-        v = FAIL
+def _angle_certificate(verdict, betas: list[str]) -> dict:
+    v = PASS if verdict.theorem_applies else NA if verdict.acceptable else FAIL
     return {
         "verdict": v,
         "status": verdict.status,
         "per_ray": list(verdict.labels),
-        "beta": [rational_str(ray.num, ray.den) for ray in verdict.rays],
+        "beta": list(betas),
     }
 
 
-def _strata_certificate(report) -> dict:
+def _strata_certificate(report, betas: list[str]) -> dict:
+    # a one-ray stratum's product is that ray's beta
     return {
         "verdict": _verdict(report.overall),
         "nu": rational_str(report.nu),
         "strata": [
             {
                 "rays": list(chk.indices),
-                "product": rational_str(chk.num, chk.den),
+                "product": betas[chk.indices[0]] if len(chk.indices) == 1 else rational_str(chk.num, chk.den),
                 "strict": chk.strict,
             }
             for chk in report.strata
@@ -136,9 +133,7 @@ def _subdivision_certificates(sub_report) -> dict:
         },
         "covering": {
             "verdict": _verdict(sub_report.covering_ok),
-            "weighted_volume": rational_str(sub_report.covering_sum)
-            if sub_report.covering_sum is not None
-            else None,
+            "weighted_volume": None if sub_report.covering_sum is None else rational_str(sub_report.covering_sum),
             "expected": sub_report.covering_expected,
         },
         "interiority": {
@@ -148,11 +143,11 @@ def _subdivision_certificates(sub_report) -> dict:
     }
 
 
-def _subdivision_section(fan, discrepancies: bool) -> dict:
+def _subdivision_section(fan, betas: list[str], discrepancies: bool) -> dict:
     section = {
         "cones": [[list(g) for g in cone.generators] for cone in fan.cones],
         "rays": [list(ray.w) for ray in fan.rays],
-        "beta": [rational_str(ray.num, ray.den) for ray in fan.rays],
+        "beta": betas,
     }
     if discrepancies:
         section["discrepancies"] = [rational_str(ray.num - ray.den, ray.den) for ray in fan.rays]
@@ -166,9 +161,10 @@ def resolve2d_report(r: int, a: int) -> tuple[dict, int]:
     im = IntersectionMatrix(bs=chain.self_intersections)
     bk = energy(chain)
     strata = volume_density_inequality(chain.rays, chain_strata(len(chain.rays)), data.volume_density)
+    betas = [rational_str(ray.num, ray.den) for ray in chain.rays]  # formatted once, printed thrice
 
     certificates = {
-        "angle_condition": _angle_certificate(angle_condition(chain)),
+        "angle_condition": _angle_certificate(angle_condition(chain), betas),
         "negative_definite": {
             "verdict": _verdict(im.is_negative_definite()),
             "leading_minors": im.leading_minors(),
@@ -181,13 +177,13 @@ def resolve2d_report(r: int, a: int) -> tuple[dict, int]:
             "verdict": _verdict(adjunction_check(chain)),
             "row_targets": [str(b - 2) for b in chain.self_intersections],
         },
-        "volume_density": _strata_certificate(strata),
+        "volume_density": _strata_certificate(strata, betas),
     }
     resolution = {
         "rays": [list(ray.w) for ray in chain.rays],
         "self_intersections": list(chain.self_intersections),
         "continued_fraction": list(chain.self_intersections),
-        "beta": [rational_str(ray.num, ray.den) for ray in chain.rays],
+        "beta": betas,
         "discrepancies": [rational_str(ray.num - ray.den, ray.den) for ray in chain.rays],
     }
     tail = {
@@ -207,12 +203,13 @@ def resolve2d_report(r: int, a: int) -> tuple[dict, int]:
 def resolve3d_report(r: int, a: int) -> tuple[dict, int]:
     fan = three_dim_family(r, a)
     strata = volume_density_inequality(fan.rays, family_strata(), fan.parent.volume_density)
+    betas = [rational_str(ray.num, ray.den) for ray in fan.rays]
     certificates = {
         **_subdivision_certificates(validate_subdivision(fan)),
-        "angle_condition": _angle_certificate(angle_condition(fan)),
-        "volume_density": _strata_certificate(strata),
+        "angle_condition": _angle_certificate(angle_condition(fan), betas),
+        "volume_density": _strata_certificate(strata, betas),
     }
-    body = _subdivision_section(fan, discrepancies=True)
+    body = _subdivision_section(fan, betas, discrepancies=True)
     return _exact_report("resolve3d", {"r": r, "a": a}, fan.parent, body, certificates)
 
 
@@ -220,15 +217,16 @@ def check_subdivision_report(text: str) -> tuple[dict, int]:
     quotient, cones = parse_subdivision_file(text)
     fan = build_subdivision(singularity_data(quotient), cones)
     sub_report = validate_subdivision(fan)
+    betas = [rational_str(ray.num, ray.den) for ray in fan.rays]
     certificates = {
         **_subdivision_certificates(sub_report),
         "disjointness": {
             "verdict": NA if sub_report.disjoint is None else _verdict(sub_report.disjoint),
         },
-        "angle_condition": _angle_certificate(angle_condition(fan)),
+        "angle_condition": _angle_certificate(angle_condition(fan), betas),
     }
     inputs = {"r": quotient.r, "weights": list(quotient.weights)}
-    body = _subdivision_section(fan, discrepancies=False)
+    body = _subdivision_section(fan, betas, discrepancies=False)
     return _exact_report("check-subdivision", inputs, fan.parent, body, certificates)
 
 
@@ -330,8 +328,6 @@ def radial_report(text: str) -> tuple[dict, int]:
 
 
 def sweep2d_report(r_max: int) -> tuple[dict, int]:
-    from math import gcd
-
     if r_max < 2:  # no pair to certify: a pass would be vacuous
         raise ValueError(f"RMAX must be at least 2, got {r_max}")
     counts: dict[str, dict[str, int]] = {}
@@ -395,7 +391,36 @@ def _dumps(report: dict) -> str:
 
 
 def _write(value, newline: str, parts: list[str]) -> None:
-    if isinstance(value, str):
+    # containers first; their str and int items, nearly all of a report's scalars, go inline
+    if isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            if type(item) is str:
+                parts.append(sep + _quote(item))
+            elif type(item) is int:
+                parts.append(sep + int.__repr__(item))
+            else:
+                parts.append(sep)
+                _write(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]" if value else "[]")
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            if type(item) is str:
+                parts.append(sep + _quote(key) + ": " + _quote(item))
+            elif type(item) is int:
+                parts.append(sep + _quote(key) + ": " + int.__repr__(item))
+            else:
+                parts.append(sep + _quote(key) + ": ")
+                _write(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}" if value else "{}")
+    elif isinstance(value, str):
         parts.append(_quote(value))
     elif value is None:
         parts.append("null")
@@ -408,24 +433,6 @@ def _write(value, newline: str, parts: list[str]) -> None:
     elif isinstance(value, float):
         text = float.__repr__(value)
         parts.append(_FLOAT_CONSTANTS.get(text, text))
-    elif isinstance(value, (list, tuple)):
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            parts.append(sep)
-            _write(item, inner, parts)
-            sep = "," + inner
-        parts.append(newline + "]" if value else "[]")
-    elif isinstance(value, dict):
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            parts.append(sep + _quote(key) + ": ")
-            _write(item, inner, parts)
-            sep = "," + inner
-        parts.append(newline + "}" if value else "{}")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

@@ -7,9 +7,10 @@ by construction.  Everything here is exact, no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 IntVec = tuple[int, ...]
 RatVec = tuple[Fraction, ...]
@@ -31,24 +32,20 @@ def unit_vector(i: int, dim: int) -> IntVec:
 def make_primitive(v: IntVec) -> IntVec:
     """Divide v by the gcd of its entries. Rejects the zero vector."""
     _check_int_vec(v)
-    g = 0
-    for entry in v:
-        g = gcd(g, entry)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple([entry // g for entry in v])
 
 
 def is_primitive(v: IntVec) -> bool:
-    return make_primitive(v) == v
+    _check_int_vec(v)
+    return gcd(*v) == 1 or make_primitive(v) == v  # make_primitive rejects the zero vector
 
 
 def det(vectors: list[IntVec] | tuple[IntVec, ...]) -> int:
-    """Exact determinant of the square integer matrix with the given rows.
-
-    Fraction-free Bareiss elimination: every intermediate quotient is exact,
-    entry growth stays polynomial even for large group orders.
-    """
+    """Exact determinant of a square integer matrix, every row checked; a
+    LatticeCone keeps its generators' determinant from construction."""
     rows = list(vectors)
     n = len(rows)
     if n == 0:
@@ -57,6 +54,13 @@ def det(vectors: list[IntVec] | tuple[IntVec, ...]) -> int:
         _check_int_vec(v)
         if len(v) != n:
             raise ValueError(f"need {n} vectors of dimension {n}, got dimension {len(v)}")
+    return _bareiss(rows)
+
+
+def _bareiss(rows) -> int:
+    """Fraction-free Bareiss elimination on checked rows: every quotient is
+    exact, and entries grow only polynomially even for large group orders."""
+    n = len(rows)
     m = [list(v) for v in rows]
     sign = 1
     prev = 1
@@ -79,9 +83,11 @@ def det(vectors: list[IntVec] | tuple[IntVec, ...]) -> int:
 
 @dataclass(frozen=True)
 class LatticeCone:
-    """Simplicial cone spanned by dim-many primitive, independent integer vectors."""
+    """Simplicial cone spanned by dim-many primitive, independent integer
+    vectors; the constructor's independence check keeps their `determinant`."""
 
     generators: tuple[IntVec, ...]
+    determinant: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = tuple([tuple(g) for g in self.generators])
@@ -97,16 +103,13 @@ class LatticeCone:
                 raise ValueError("generators must share one dimension")
             if not is_primitive(g):
                 raise ValueError(f"generator {g} is not primitive")
-        if det(gens) == 0:
+        object.__setattr__(self, "determinant", _bareiss(gens))
+        if self.determinant == 0:
             raise ValueError("generators are linearly dependent")
 
     @property
     def dim(self) -> int:
         return len(self.generators)
-
-    @property
-    def determinant(self) -> int:
-        return det(self.generators)
 
 
 def cone_coordinates(w: IntVec, cone: LatticeCone) -> RatVec:
@@ -138,11 +141,13 @@ def contains_in_interior(w: IntVec, cone: LatticeCone) -> bool:
 
     By Cramer's rule lambda_i = det(g_1, .., w, .., g_n) / det(g_1, .., g_n)
     with w in slot i, so this compares integer determinant signs."""
-    gens = cone.generators
-    d = det(gens)
-    return all(det(gens[:i] + (w,) + gens[i + 1:]) * d > 0 for i in range(len(gens)))
+    gens, n = cone.generators, cone.dim
+    _check_int_vec(w)
+    if len(w) != n:
+        raise ValueError(f"need {n} vectors of dimension {n}, got dimension {len(w)}")
+    return all(_bareiss(gens[:i] + (w,) + gens[i + 1:]) * cone.determinant > 0 for i in range(n))
 
 
 def pairing(w: IntVec, covector: IntVec) -> int:
     """Exact pairing <w, c> of integer vectors; <w, r gamma> is r * beta(w)."""
-    return sum(a * b for a, b in zip(w, covector))
+    return sum(map(mul, w, covector))

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import lcm
 
 from .resolution import ChainResolution, ExceptionalRay
 
@@ -71,9 +71,13 @@ class IntersectionMatrix:
         return all((d > 0) == (m % 2 == 0) and d != 0 for m, d in enumerate(self.leading_minors(), 1))
 
     def adjugate_row(self, i: int) -> list[int]:
-        """Row i (0-based) of determinant() * M^{-1}, integral, O(k)."""
+        """Row i (0-based, 0 <= i < size) of determinant() * M^{-1}, integral, O(k)."""
+        if not 0 <= i < self.size:
+            raise ValueError(f"row {i} outside 0..{self.size - 1}")
         d, f = self._continuants
-        return [(-1) ** (i + j) * d[min(i, j)] * f[max(i, j) + 2] for j in range(self.size)]
+        row = [d[min(i, j)] * f[max(i, j) + 2] for j in range(self.size)]
+        row[1 - i % 2::2] = [-x for x in row[1 - i % 2::2]]  # the sign (-1)^(i + j)
+        return row
 
     def inverse_row(self, i: int) -> list[Fraction]:
         """Row i (0-based) of the exact inverse, O(k)."""
@@ -189,10 +193,13 @@ def volume_density_inequality(
     """Check the Bishop-Gromov consequence: on every nonempty intersection
     of exceptional divisors the product of the beta exceeds the volume
     density of the cone at infinity, strictly."""
+    nums, dens = [ray.num for ray in rays], [ray.den for ray in rays]
     checks = []
     for stratum in strata:
-        num = prod(rays[idx].num for idx in stratum)
-        den = prod(rays[idx].den for idx in stratum)
+        num = den = 1
+        for idx in stratum:
+            num *= nums[idx]
+            den *= dens[idx]
         strict = num * nu.denominator > nu.numerator * den
         checks.append(StratumCheck(indices=tuple(stratum), num=num, den=den, strict=strict))
     return StrataReport(nu=nu, strata=tuple(checks), overall=all(c.strict for c in checks))

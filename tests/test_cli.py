@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import enum
 import hashlib
 import io
 import json
@@ -12,6 +13,7 @@ import pytest
 
 import alequot
 import alequot.cli as cli
+import alequot.lattice as lattice
 from alequot.cli import (
     check_subdivision_report,
     main,
@@ -389,12 +391,25 @@ def test_exact_reports_match_golden_digest(name, tmp_path, capsys):
     assert digest.hexdigest() == GOLDEN_SHA256[name]
 
 
+class _Colour(enum.IntEnum):
+    RED = 1
+
+
+class _Text(str):
+    pass
+
+
 WRITER_EDGE_CASES = [
     {}, [], {"a": {}, "b": [], "c": [[], {}, [[]]]},
     ["é", "漢字", "😀", "\x00\x1f\n\t\"\\/", " ", ""],
     [0, -1, 10**40, -(10**40), 2**63],
     [-0.0, 0.0, 1e-06, 1e16, 0.1, 1.5e300, float("nan"), float("inf"), float("-inf")],
     (1, "a", (2, (3,)), ()), {"t": (True, False, None)}, True, None, "top", 7,
+    # the writer's inline path takes exact str and int only; these go the long way
+    [True, 1, False, 0, _Colour.RED, _Text("sub"), None, 1.5, -0.0, float("nan"), float("-inf")],
+    {"b": True, "i": 1, "f": False, "z": 0, "e": _Colour.RED, "s": _Text("sub"), "n": None, "x": 1e16,
+     "y": float("inf")},
+    _Colour.RED, _Text("top"),
 ]
 
 
@@ -430,6 +445,23 @@ def _unsized_tuple_builds(tree):
             yield node.lineno
         if any(isinstance(a, ast.Starred) and isinstance(a.value, ast.GeneratorExp) for a in node.args):
             yield node.lineno
+
+
+@pytest.mark.parametrize("build", [lambda: check_subdivision_report(FAN_74), lambda: resolve3d_report(7, 4)],
+                         ids=["check-subdivision", "resolve3d"])
+def test_fan_reports_eliminate_each_matrix_once(build, monkeypatch):
+    calls, bareiss = [], lattice._bareiss
+
+    def counting(rows):
+        calls.append(None)
+        return bareiss(rows)
+
+    expected = build()
+    monkeypatch.setattr(lattice, "_bareiss", counting)
+    assert build() == expected
+    # one elimination per cone (sigma and five sub-cones), kept as its determinant,
+    # and three substituted matrices per exceptional ray for interiority
+    assert len(calls) <= 12
 
 
 def test_no_tuple_is_built_from_a_generator():

@@ -8,6 +8,7 @@ from alequot.lattice import (
     cone_coordinates,
     contains_in_interior,
     det,
+    is_primitive,
     make_primitive,
     unit_vector,
 )
@@ -79,6 +80,35 @@ def test_make_primitive_rejects_zero():
         make_primitive((0, 0, 0))
 
 
+def test_is_primitive_agrees_with_make_primitive():
+    rng = random.Random(2024)
+    for _ in range(500):
+        v = tuple(rng.choice([0, 0, 1, -1, 2, -2, 3, 6, -9, 12]) for _ in range(rng.randint(1, 4)))
+        if any(v):
+            assert is_primitive(v) == (make_primitive(v) == v)
+    with pytest.raises(ValueError):
+        is_primitive((0, 0))
+    for bad in ((1, True), (1, 1.0), [1, 1], ()):
+        with pytest.raises(ValueError):
+            is_primitive(bad)
+
+
+def test_cone_keeps_its_determinant():
+    rng = random.Random(5)
+    built = 0
+    while built < 100:
+        n = rng.randint(1, 4)
+        gens = [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n)]
+        if not all(any(g) and is_primitive(g) for g in gens):
+            continue
+        if det(gens) == 0:
+            with pytest.raises(ValueError, match="linearly dependent"):
+                LatticeCone(tuple(gens))
+            continue
+        assert LatticeCone(tuple(gens)).determinant == det(gens)
+        built += 1
+
+
 def test_cone_constructor_validation():
     with pytest.raises(ValueError):
         LatticeCone(((2, 4), (0, 1)))     # non-primitive generator
@@ -130,6 +160,13 @@ def test_contains_in_interior():
     assert not contains_in_interior((7, 4), cone)       # boundary generator
     assert not contains_in_interior((0, 1), cone)
     assert not contains_in_interior((-1, 0), cone)
+
+
+def test_contains_in_interior_checks_the_vector():
+    cone = LatticeCone(((7, 6, 3), (0, 1, 0), (0, 0, 1)))
+    for w in ((1, 1), (1, 1, 1, 1), (1, 1.0, 1), (1, True, 1), [1, 1, 1], ()):
+        with pytest.raises(ValueError):
+            contains_in_interior(w, cone)
 
 
 def test_det_equals_sublattice_index():

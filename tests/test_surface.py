@@ -1,6 +1,8 @@
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from alequot.quotient import CyclicQuotient
 from alequot.resolution import ExceptionalRay, hj_resolution, three_dim_family
 from alequot.surface import (
@@ -56,6 +58,26 @@ def test_inverse_against_dense_elimination():
     for bs in [(2,), (3,), (3, 2, 2), (2, 2, 2, 2), (4, 2, 3), (5, 2, 2, 2, 3), (2, 3, 2, 4, 2, 2)]:
         m = IntersectionMatrix(bs=bs)
         assert inverse(m) == invert_fraction_matrix(tridiagonal_rows(bs))
+
+
+def test_adjugate_rows_against_dense_elimination():
+    for bs in [(2,), (2, 3, 2), (3, 2, 2), (5, 2, 2, 2, 3), (2, 3, 2, 4, 2, 2), (1, -1, 4)]:
+        m = IntersectionMatrix(bs=bs)
+        dense = invert_fraction_matrix(tridiagonal_rows(bs))
+        for i in range(m.size):
+            row = m.adjugate_row(i)
+            assert all(type(x) is int for x in row)
+            assert row == [x * m.determinant() for x in dense[i]]
+    assert IntersectionMatrix(bs=(2, 3, 2)).adjugate_row(2) == [1, 2, 5]
+
+
+def test_rows_outside_the_matrix_are_rejected():
+    m = IntersectionMatrix(bs=(2, 3, 2))
+    for i in (-1, m.size):
+        with pytest.raises(ValueError):
+            m.adjugate_row(i)
+        with pytest.raises(ValueError):
+            m.inverse_row(i)
 
 
 def test_fast_sign_check_agrees_with_inverse():
