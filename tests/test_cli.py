@@ -396,7 +396,8 @@ class _Colour(enum.IntEnum):
 
 
 class _Text(str):
-    pass
+    def __repr__(self):
+        return f"_Text({str.__repr__(self)})"
 
 
 WRITER_EDGE_CASES = [
