@@ -1,7 +1,9 @@
 """Command line surface: exact resolution certificates and solver runs as
 deterministic JSON reports.
 
-Commands
+Commands, each with an optional `--json PATH` (`-` for stdout).  Argv of exactly
+that form is read from the COMMANDS table; argparse reads any other argv and
+prints the usage, help and error text:
     resolve2d R A          minimal resolution pipeline for 1/R(1, A)
     resolve3d R A          five-cone family for 1/R(1, 1, A)
     check-subdivision F    certify a user supplied fan subdivision file
@@ -11,14 +13,13 @@ Commands
 Exit codes, one meaning each:
     0  every applicable certificate passes
     1  a certificate failed (the report names it)
-    2  usage, parse or input error
+    2  usage, parse or input error, or an output that cannot be written
     3  solver failure: Newton stalled or a profile left the Kahler cone
     4  internal error: a self-check of the engine failed
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
@@ -442,12 +443,10 @@ def _emit(report: dict, code: int, json_path: str | None) -> int:
         document = _dumps(report) + "\n"
         if json_path == "-":
             sys.stdout.write(document)
-        else:
-            with open(json_path, "w") as fh:
-                fh.write(document)
-            _print_human(report)
-    else:
-        _print_human(report)
+            return code
+        with open(json_path, "w") as fh:
+            fh.write(document)
+    _print_human(report)
     return code
 
 
@@ -464,6 +463,7 @@ COMMANDS = {
 
 @functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only help, usage errors and unusual spellings need it
     parser = argparse.ArgumentParser(prog="alequot", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, positionals) in COMMANDS.items():
@@ -474,27 +474,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _read_table(argv):
+    """(command, values, json path) for `CMD ARG... [--json PATH]` with no argument
+    starting with "-" but a `--json -`, read as argparse would read it; else None."""
+    entry = COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    n = len(entry[2])
+    values, option = argv[1:n + 1], argv[n + 1:]
+    json_path = option[1] if len(option) == 2 and option[0] == "--json" else None
+    if len(values) != n or option and json_path is None or any(v.startswith("-") for v in values) \
+            or json_path not in (None, "-") and json_path.startswith("-"):
+        return None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    build, _, positionals = COMMANDS[args.command]
+        return argv[0], values if entry[2] == ("file",) else [int(v) for v in values], json_path
+    except ValueError:
+        return None
+
+
+def main(argv=None) -> int:
+    parsed = _read_table(sys.argv[1:] if argv is None else argv)
+    if parsed is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code else 0
+        parsed = args.command, [getattr(args, arg) for arg in COMMANDS[args.command][2]], args.json
+    command, values, json_path = parsed
+    build, _, positionals = COMMANDS[command]
     try:
         if positionals == ("file",):
-            with open(args.file) as fh:
-                inputs = [fh.read()]
-        else:
-            inputs = [getattr(args, arg) for arg in positionals]
-        report, code = build(*inputs)
+            with open(values[0]) as fh:
+                values = [fh.read()]
+        report, code = build(*values)
+        return _emit(report, code, json_path)  # an unwritable --json path or stdout is an OSError too
     except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    return _emit(report, code, args.json)
 
 
 if __name__ == "__main__":

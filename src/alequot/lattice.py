@@ -101,8 +101,9 @@ class LatticeCone:
             _check_int_vec(g, "generator")
             if len(g) != dim:
                 raise ValueError("generators must share one dimension")
-            if not is_primitive(g):
-                raise ValueError(f"generator {g} is not primitive")
+            if gcd(*g) != 1:  # the entries are checked above; is_primitive would check them again
+                raise ValueError(f"generator {g} is not primitive" if any(g) else
+                                 "zero vector has no primitive representative")
         object.__setattr__(self, "determinant", _bareiss(gens))
         if self.determinant == 0:
             raise ValueError("generators are linearly dependent")

@@ -222,6 +222,18 @@ def test_sweep2d_without_pairs_is_a_usage_error(r_max, capsys):
     assert captured.err == f"error: RMAX must be at least 2, got {r_max}\n"
 
 
+@pytest.mark.parametrize("cone, message", [
+    ("cone 0 0 | 0 1", "zero vector has no primitive representative"),
+    ("cone 2 4 | 0 1", "generator (2, 4) is not primitive"),
+], ids=["zero", "non-primitive"])
+def test_check_subdivision_names_a_bad_generator(cone, message, tmp_path, capsys):
+    fan = tmp_path / "fan.txt"
+    fan.write_text(f"dim 2\nquotient 7 3\n{cone}\n")
+    assert main(["check-subdivision", str(fan), "--json", "-"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: line 3: {message}\n")
+
+
 def test_main_usage_error_exit_code(capsys):
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
@@ -240,6 +252,84 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
     assert cli.build_parser() is cli.build_parser()
 
 
+@pytest.mark.parametrize("form", ["table", "equals", "empty"])
+def test_unwritable_json_path_is_a_usage_error(form, tmp_path, capsys):
+    path = str(tmp_path / "missing" / "report.json")
+    argv = {"table": ["resolve2d", "7", "3", "--json", path],
+            "equals": ["resolve2d", "7", "3", f"--json={path}"],
+            "empty": ["resolve2d", "7", "3", "--json", ""]}[form]
+    assert (cli._read_table(argv) is None) == (form == "equals")   # both parsers are covered
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: {argv[-1].removeprefix('--json=')!r}\n"
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["resolve2d", "7", "3"], ["resolve2d", "7", "3", "--json", "-"]],
+                         ids=["summary", "json"])
+def test_closed_stdout_is_an_output_error(argv, capsys):
+    with contextlib.redirect_stdout(_ClosedPipe()):
+        assert main(argv) == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
+def _edge_argvs(tmp_path):
+    """(argvs the COMMANDS table reads, argvs it leaves to argparse)"""
+    fan = tmp_path / "fan74.txt"
+    fan.write_text(FAN_74)
+    fan, report = str(fan), str(tmp_path / "report.json")
+    table = [
+        ["resolve2d", "7", "3", "--json", report], ["resolve2d", "7", "3", "--json", ""],
+        ["check-subdivision", fan], ["check-subdivision", fan, "--json", "-"], ["check-subdivision", ""],
+        ["radial", str(tmp_path / "missing.txt"), "--json", "-"],
+        ["resolve2d", "07", "3", "--json", "-"], ["resolve2d", "1_000", "3", "--json", "-"],
+        ["resolve2d", "\u0663", "2", "--json", "-"], ["resolve2d", " 7 ", "+3", "--json", "-"],
+        ["resolve2d", "4", "2", "--json", "-"], ["sweep2d", "8"], ["sweep2d", "1", "--json", "-"],
+    ]
+    argparse_only = [
+        ["resolve2d", "7", "3", "--json=-"], ["resolve2d", "7", "3", "--js", "-"],
+        ["resolve2d", "7", "3", "--json", "-x"], ["resolve2d", "7", "3", "--json", "--json"],
+        ["resolve2d", "7", "3", "--json", "-3"], ["resolve2d", "7", "3", "--json"],
+        ["resolve2d", "7", "3", "--json", "-", "--json", "-"],
+        ["resolve2d", "--json", "-", "7", "3"], ["resolve2d", "7", "--json", "-", "3"],
+        ["check-subdivision", "--json", "-", fan], ["--json", "-", "resolve2d", "7", "3"],
+        ["resolve2d", "--", "7", "3"], ["resolve2d", "7", "3", "--"], ["resolve2d", "-3", "5", "--json", "-"],
+        ["sweep2d", "-3"], ["sweep2d", "-"], ["check-subdivision", "-"], ["-h"], ["resolve2d", "-h"],
+        ["resolve3d", "7", "4", "-h"], ["--help"], ["resolve2d", "7"], ["resolve2d", "7", "3", "4"],
+        ["resolve2d"], ["check-subdivision"], ["radial"], ["check-subdivision", fan, fan], [],
+        ["resolve4d", "7", "3"], ["Resolve2d", "7", "3"], [""], ["resolve2d", "", "3"],
+        ["resolve2d", "7.0", "3"], ["resolve2d", "0x7", "3"], ["resolve2d", "9" * 5000, "3"],
+    ]
+    return table, argparse_only
+
+
+def test_table_and_argparse_agree(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)   # "--json -3" writes a file of that name
+    table, argparse_only = _edge_argvs(tmp_path)
+    table += [argv + ["--json", "-"] for name in sorted(GOLDEN_SHA256) for argv in _golden_corpus(name, tmp_path)]
+    for argv in table + argparse_only:
+        parsed = cli._read_table(argv)
+        assert (parsed is not None) == (argv in table), argv
+        if parsed is not None:
+            args = cli.build_parser().parse_args(argv)
+            values = [getattr(args, arg) for arg in cli.COMMANDS[args.command][2]]
+            assert parsed == (args.command, values, args.json), argv
+            assert [type(v) for v in parsed[1]] == [type(v) for v in values], argv
+        outcomes = []
+        for use_table in (True, False):
+            with monkeypatch.context() as m:
+                if not use_table:   # the reference: every argv through build_parser().parse_args
+                    m.setattr(cli, "_read_table", lambda argv: None)
+                code = main(list(argv))
+            outcomes.append((code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1], argv
+
+
 EXACT_ONLY_SCRIPT = """
 import contextlib, io, sys
 from alequot.cli import main
@@ -249,8 +339,15 @@ runs = [["resolve2d", "7", "3"], ["resolve3d", "7", "4"], ["check-subdivision", 
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv + ["--json", "-"]) for argv in runs]
 assert codes == [0, 0, 0, 0], codes
-loaded = [name for name in ("numpy", "scipy") if name in sys.modules]
+loaded = [name for name in ("numpy", "scipy", "argparse") if name in sys.modules]
 assert not loaded, f"exact commands loaded {loaded}"
+
+# a usage error still gets argparse's usage line and exit code 2
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    assert main(["resolve2d", "7"]) == 2
+assert err.getvalue().startswith("usage: alequot resolve2d [-h] [--json PATH] r a\\n"), err.getvalue()
+from alequot.cli import build_parser
+assert build_parser() is build_parser()
 
 import alequot
 assert callable(alequot.newton_continuity_solve)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import alequot.lattice as lattice
 from alequot.lattice import (
     LatticeCone,
     cone_coordinates,
@@ -116,6 +117,31 @@ def test_cone_constructor_validation():
         LatticeCone(((1, 2), (-1, -2)))   # linearly dependent generators
     with pytest.raises(ValueError):
         LatticeCone(((1, 0, 0), (0, 1, 0)))  # wrong generator count
+
+
+@pytest.mark.parametrize("gens, message", [
+    (((1, 2.0), (0, 1)), "generator entries must be ints, got 2.0"),
+    (((1, 0), (True, 1)), "generator entries must be ints, got True"),
+], ids=["float", "bool"])
+def test_cone_generator_entry_messages(gens, message):
+    # a subdivision file holds only int vectors, so these are pinned here; the zero and
+    # non-primitive messages are pinned through check-subdivision in tests/test_cli.py
+    with pytest.raises(ValueError) as info:
+        LatticeCone(gens)
+    assert str(info.value) == message
+
+
+def test_cone_checks_each_generator_once(monkeypatch):
+    checked, original = [], lattice._check_int_vec
+
+    def counting(v, what="vector"):
+        checked.append(v)
+        return original(v, what)
+
+    monkeypatch.setattr(lattice, "_check_int_vec", counting)
+    assert LatticeCone(((1, 1, 1), (0, 1, 0), (0, 0, 1))).determinant == 1
+    assert LatticeCone(((-1,),)).determinant == -1
+    assert checked == [(1, 1, 1), (0, 1, 0), (0, 0, 1), (-1,)]
 
 
 def test_cone_coordinates_examples():
