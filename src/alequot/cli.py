@@ -222,7 +222,7 @@ def check_subdivision_report(text: str) -> tuple[dict, int]:
     certificates = {
         **_subdivision_certificates(sub_report),
         "disjointness": {
-            "verdict": NA if sub_report.disjoint is None else _verdict(sub_report.disjoint),
+            "verdict": _verdict(sub_report.covering_ok) if fan.parent.sigma.dim == 2 else NA,
         },
         "angle_condition": _angle_certificate(angle_condition(fan), betas),
     }

@@ -4,23 +4,35 @@ user-supplied fan subdivisions.
 
 A subdivision of sigma into unimodular sub-cones is a smooth resolution; the
 interior primitive rays w_j are the exceptional divisors, each carrying the
-cone angle parameter beta_j = <w_j, gamma> and discrepancy beta_j - 1.  The
-covering certificate used here is exact: slicing every sub-cone by the
-hyperplane {<., gamma> = 1} gives simplices with vertices g / <g, gamma>, and
-these tile the slice of sigma itself, so
+cone angle parameter beta_j = <w_j, gamma> and discrepancy beta_j - 1.
+
+The covering certificate proves in every dimension that the cones form a fan
+subdividing sigma.  With every <g, gamma> > 0, each cone cuts the hyperplane
+{<., gamma> = 1} in a simplex with vertices g / <g, gamma>.  Face count: each
+facet of sigma (n - 1 sigma generators) is a face of one cone and every other
+codimension-one face (a sorted generator tuple) of two, so the mod-2 boundary
+of the simplices is that of sigma's slice: a generic point is covered an odd
+number of times inside sigma and an even number outside.  Weighted volume:
 
     sum over cones of |det(g_1, ..., g_n)| / (<g_1,gamma> * ... * <g_n,gamma>)
 
-must equal |det(sigma)| = r whenever the cones cover sigma with disjoint
-interiors.  (The unweighted determinant sum is not conserved under
-subdivision, so it cannot serve as a covering count.)
+is the simplices' total volume, scaled so that sigma's slice has volume
+|det(sigma)| = r, so it is r only if those multiplicities are one and zero.
+The cones then tile sigma, face to face, since a face only part of a
+neighbour's is counted once (Fulton, Introduction to Toric Varieties,
+section 2; De Loera, Rambau and Santos, Triangulations, chapter 4).  Neither
+count suffices alone: an overlap can cancel a gap of equal weighted volume,
+and a cone added twice keeps the face count.  (The unweighted determinant sum
+is not conserved under subdivision.)  A ray on the boundary of sigma fails
+the face count and interiority.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from itertools import combinations
 from math import gcd, lcm, prod
 
 from .lattice import IntVec, LatticeCone, contains_in_interior, is_primitive, pairing, unit_vector
@@ -256,6 +268,8 @@ def angle_condition(obj: ChainResolution | FanSubdivision) -> AngleVerdict:
 class SubdivisionReport:
     """Outcome of every certificate run on a fan subdivision.
 
+    `covering_ok` is the face count and the weighted-volume identity together,
+    a proof that the cones form a fan subdividing sigma (module docstring).
     Check failures land here as verdicts, never as exceptions, so a report can
     be produced for defective input fans.
     """
@@ -267,41 +281,15 @@ class SubdivisionReport:
     covering_ok: bool
     ray_interior: tuple[bool, ...]
     all_interior: bool
-    disjoint: bool | None  # None: not evaluated (only the surface case is checked)
     overall: bool
 
 
-def _sector_disjointness(sub: FanSubdivision) -> bool:
-    """Exact tiling check for surface fans: the angular sectors of the cones,
-    sorted from e_2 toward v, must abut with no overlap and no gap."""
-    sigma = sub.parent.sigma
-    v, e2 = sigma.generators
-
-    def cmp(p, qq):
-        # negative when p precedes qq on the sweep from e_2 to v
-        c = p[0] * qq[1] - p[1] * qq[0]
-        return -1 if c < 0 else (1 if c > 0 else 0)
-
-    sectors = []
-    for cone in sub.cones:
-        p, qq = cone.generators
-        if cmp(p, qq) > 0:
-            p, qq = qq, p
-        if cmp(p, qq) == 0:
-            return False
-        sectors.append((p, qq))
-    sectors.sort(key=cmp_to_key(lambda s, t: cmp(s[0], t[0])))
-    if not sectors or sectors[0][0] != e2 or sectors[-1][1] != v:
-        return False
-    for (_, hi), (lo, _) in zip(sectors, sectors[1:]):
-        if hi != lo:
-            return False
-    return True
-
-
 def validate_subdivision(sub: FanSubdivision) -> SubdivisionReport:
-    """Run the unimodularity, covering, interiority and (surface) disjointness
-    certificates on a candidate subdivision."""
+    """Run the unimodularity, covering and interiority certificates on a
+    candidate subdivision.  Covering is the face count (a facet of sigma is a
+    face of one cone, any other codimension-one face of two) plus the
+    weighted-volume identity: a fan-tiling proof in any dimension (Fulton
+    section 2; De Loera-Rambau-Santos chapter 4, see the module docstring)."""
     data = sub.parent
     sigma = data.sigma
     r = abs(sigma.determinant)
@@ -316,17 +304,20 @@ def validate_subdivision(sub: FanSubdivision) -> SubdivisionReport:
         scale = data.quotient.r ** sigma.dim
         terms = (d * scale * (den // prod(nums)) for d, nums in zip(dets, pairings))
         covering_sum = Fraction(sum(terms), den)
-    covering_ok = covering_sum == r
+    # sorted generators give sorted faces, so a face is the same tuple in every cone
+    faces = Counter(f for cone in sub.cones for f in combinations(sorted(cone.generators), sigma.dim - 1))
+    facets = set(combinations(sorted(sigma.generators), sigma.dim - 1))
+    covering_ok = (
+        covering_sum == r
+        and facets <= faces.keys()
+        and all(k == (1 if f in facets else 2) for f, k in faces.items())
+    )
 
     ray_interior = tuple([contains_in_interior(ray.w, sigma) for ray in sub.rays])
 
-    disjoint: bool | None = None
-    if sigma.dim == 2:
-        disjoint = _sector_disjointness(sub)
-
     all_unimodular = bool(dets) and all(d == 1 for d in dets)
     all_interior = all(ray_interior)
-    overall = all_unimodular and covering_ok and all_interior and disjoint is not False
+    overall = all_unimodular and covering_ok and all_interior
     return SubdivisionReport(
         cone_determinants=dets,
         all_unimodular=all_unimodular,
@@ -335,7 +326,6 @@ def validate_subdivision(sub: FanSubdivision) -> SubdivisionReport:
         covering_ok=covering_ok,
         ray_interior=ray_interior,
         all_interior=all_interior,
-        disjoint=disjoint,
         overall=overall,
     )
 

@@ -86,6 +86,42 @@ def test_check_subdivision_exterior_ray():
     assert certificate_verdicts(report)["interiority"] == "fail"
 
 
+def _check_fan_file(text, tmp_path, capsys):
+    fan = tmp_path / "fan.txt"
+    fan.write_text(text)
+    code = main(["check-subdivision", str(fan), "--json", "-"])
+    return code, json.loads(capsys.readouterr().out)["certificates"]
+
+
+@pytest.mark.parametrize("src, dst", [(0, 1), (1, 0), (2, 3), (3, 2)])
+def test_duplicate_cone_fails_covering(src, dst, tmp_path, capsys):
+    # the weighted-volume identity still holds; the face count does not
+    lines = FAN_74.splitlines()
+    cones = lines[3:]
+    cones[dst] = cones[src]
+    code, certs = _check_fan_file("\n".join(lines[:3] + cones) + "\n", tmp_path, capsys)
+    assert code == 1
+    assert certs["covering"] == {"verdict": "fail", "weighted_volume": "7", "expected": 7}
+
+
+@pytest.mark.parametrize("text, covering, disjointness", [
+    # cones 0 and 2 of FAN_74 made one cone: weighted volume 7, but not face to face
+    ("dim 3\nquotient 7 1 4\ncone 0 1 0 | 0 0 1 | 2 2 1\ncone 7 6 3 | 1 1 1 | 0 0 1\n"
+     "cone 7 6 3 | 2 2 1 | 1 1 1\ncone 7 6 3 | 0 1 0 | 2 2 1\n", "fail", "not-applicable"),
+    # a duplicated cone and a generator outside sigma, once passed by the angular sort
+    ("dim 2\nquotient 3 1\ncone 0 1 | 3 2\ncone -1 -3 | 0 1\ncone 3 2 | -1 -3\ncone 0 1 | 3 2\n",
+     "fail", "fail"),
+    ("dim 2\nquotient 7 3\ncone 7 4 | 0 1\n", "pass", "pass"),
+    ("dim 3\nquotient 7 1 4\ncone 7 6 3 | 0 1 0 | 0 0 1\n", "pass", "not-applicable"),
+    ("dim 2\nquotient 7 3\ncone 0 1 | 1 1\ncone 1 1 | 7 4\n", "pass", "pass"),
+], ids=["merged-3d", "duplicate-2d", "sigma-2d", "sigma-3d", "partial-2d"])
+def test_covering_is_a_tiling_verdict(text, covering, disjointness, tmp_path, capsys):
+    code, certs = _check_fan_file(text, tmp_path, capsys)
+    assert code == 1  # none of these is unimodular
+    assert certs["covering"]["verdict"] == covering
+    assert certs["disjointness"]["verdict"] == disjointness
+
+
 def test_radial_report_small_run():
     report, code = radial_report(RUN_SMALL)
     assert code == 0

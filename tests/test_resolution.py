@@ -214,7 +214,6 @@ def test_validate_subdivision_partial_fan():
     assert report.covering_ok and report.covering_sum == 7
     assert report.cone_determinants == (1, 3)
     assert not report.all_unimodular
-    assert report.disjoint is True
     assert not report.overall
 
 
@@ -234,14 +233,13 @@ def test_validate_subdivision_detects_overlap_and_gap():
         data, [LatticeCone(((0, 1), (1, 1))), LatticeCone(((3, 2), (7, 4)))]
     )
     report = validate_subdivision(gap)
-    assert report.disjoint is False
     assert not report.covering_ok
     # overlap: sectors sharing interior
     overlap = build_subdivision(
         data, [LatticeCone(((0, 1), (3, 2))), LatticeCone(((1, 1), (7, 4)))]
     )
     report = validate_subdivision(overlap)
-    assert report.disjoint is False
+    assert not report.covering_ok
     assert not report.overall
 
 
