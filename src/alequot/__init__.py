@@ -8,16 +8,13 @@ from types import ModuleType as _ModuleType
 
 from .lattice import (
     LatticeCone,
-    cone_coordinates,
     contains_in_interior,
     det,
-    make_primitive,
     unit_vector,
 )
 from .quotient import (
     CyclicQuotient,
     SingularityData,
-    sigma_cone,
     singularity_data,
 )
 from .resolution import (
@@ -27,7 +24,6 @@ from .resolution import (
     FanSubdivision,
     SubdivisionReport,
     angle_condition,
-    build_subdivision,
     chain_fan,
     hj_continued_fraction,
     hj_resolution,

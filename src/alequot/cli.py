@@ -29,8 +29,8 @@ from . import __version__
 from .formats import parse_run_file, parse_subdivision_file, rational_str, real_str
 from .quotient import CyclicQuotient, singularity_data
 from .resolution import (
+    FanSubdivision,
     angle_condition,
-    build_subdivision,
     hj_resolution,
     three_dim_family,
     validate_subdivision,
@@ -216,7 +216,7 @@ def resolve3d_report(r: int, a: int) -> tuple[dict, int]:
 
 def check_subdivision_report(text: str) -> tuple[dict, int]:
     quotient, cones = parse_subdivision_file(text)
-    fan = build_subdivision(singularity_data(quotient), cones)
+    fan = FanSubdivision(singularity_data(quotient), cones)
     sub_report = validate_subdivision(fan)
     betas = [rational_str(ray.num, ray.den) for ray in fan.rays]
     certificates = {

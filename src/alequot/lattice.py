@@ -1,19 +1,16 @@
-"""Exact integer and rational linear algebra for lattice vectors and simplicial cones.
+"""Exact integer linear algebra for lattice vectors and simplicial cones.
 
-Vectors are plain tuples of Python ints (arbitrary precision); rational results
-are `fractions.Fraction`, which keeps lowest terms and a positive denominator
-by construction.  Everything here is exact, no floating point.
+Vectors are plain tuples of Python ints (arbitrary precision).  Everything
+here is exact integer arithmetic, no floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
 IntVec = tuple[int, ...]
-RatVec = tuple[Fraction, ...]
 
 
 def _check_int_vec(v, what="vector"):
@@ -29,18 +26,13 @@ def unit_vector(i: int, dim: int) -> IntVec:
     return tuple([1 if j == i else 0 for j in range(dim)])
 
 
-def make_primitive(v: IntVec) -> IntVec:
-    """Divide v by the gcd of its entries. Rejects the zero vector."""
+def is_primitive(v: IntVec) -> bool:
+    """True iff the entries of v have gcd 1.  Rejects the zero vector."""
     _check_int_vec(v)
     g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple([entry // g for entry in v])
-
-
-def is_primitive(v: IntVec) -> bool:
-    _check_int_vec(v)
-    return gcd(*v) == 1 or make_primitive(v) == v  # make_primitive rejects the zero vector
+    return g == 1
 
 
 def det(vectors: list[IntVec] | tuple[IntVec, ...]) -> int:
@@ -111,30 +103,6 @@ class LatticeCone:
     @property
     def dim(self) -> int:
         return len(self.generators)
-
-
-def cone_coordinates(w: IntVec, cone: LatticeCone) -> RatVec:
-    """Unique rationals lambda_i with w = sum(lambda_i * generator_i), exact solve."""
-    _check_int_vec(w)
-    n = cone.dim
-    if len(w) != n:
-        raise ValueError(f"vector dimension {len(w)} does not match cone dimension {n}")
-    # columns are the generators; Gaussian elimination over Fraction
-    a = [[Fraction(cone.generators[j][i]) for j in range(n)] for i in range(n)]
-    b = [Fraction(w[i]) for i in range(n)]
-    for col in range(n):
-        piv = next(row for row in range(col, n) if a[row][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = 1 / a[col][col]
-        a[col] = [entry * inv for entry in a[col]]
-        b[col] *= inv
-        for row in range(n):
-            if row != col and a[row][col] != 0:
-                f = a[row][col]
-                a[row] = [x - f * y for x, y in zip(a[row], a[col])]
-                b[row] -= f * b[col]
-    return tuple(b)
 
 
 def contains_in_interior(w: IntVec, cone: LatticeCone) -> bool:

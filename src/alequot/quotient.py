@@ -67,22 +67,17 @@ class SingularityData:
     gamma = property(lambda self: tuple([Fraction(x, self.quotient.r) for x in self.r_gamma]))
 
 
-def sigma_cone(q: CyclicQuotient) -> LatticeCone:
-    """The presenting cone <v, e_2, ..., e_n> with v = (r, r-a_2, ..., r-a_n)."""
-    n = q.dim
-    v = (q.r,) + tuple([q.r - a for a in q.weights])
-    gens = (v,) + tuple([unit_vector(i, n) for i in range(1, n)])
-    return LatticeCone(gens)
-
-
 def singularity_data(q: CyclicQuotient) -> SingularityData:
     """Everything derived from the quotient, with sigma and gamma built once.
 
     gamma is computed by the closed formula ((1 + sum(a_i - r))/r, 1, ..., 1)
     and then re-verified against the defining pairing property, so a
-    transcription slip in either route cannot pass silently.
+    transcription slip in either route cannot pass silently.  sigma is the
+    presenting cone <v, e_2, ..., e_n> with v = (r, r-a_2, ..., r-a_n).
     """
-    sigma = sigma_cone(q)
+    n = q.dim
+    v = (q.r,) + tuple([q.r - a for a in q.weights])
+    sigma = LatticeCone((v,) + tuple([unit_vector(i, n) for i in range(1, n)]))
     r_gamma = (1 + sum(a - q.r for a in q.weights),) + (q.r,) * (q.dim - 1)
     for generator in sigma.generators:
         value = pairing(generator, r_gamma)

@@ -81,6 +81,10 @@ class RadialGrid:
             raise _Rejected(f"need 0 < s_min < s_max, got [{self.s_min}, {self.s_max}]", "s_min", "s_max")
         if self.m < 16:
             raise _Rejected(f"need at least 16 nodes, got {self.m}", "m")
+        try:
+            self.s  # builds x too: a node count too large to hold is a rejected value
+        except MemoryError:
+            raise _Rejected(f"cannot allocate a grid of {self.m} nodes", "m") from None
 
     @cached_property
     def x(self) -> np.ndarray:

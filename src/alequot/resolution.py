@@ -30,7 +30,7 @@ the face count and interiority.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
@@ -58,10 +58,6 @@ class ExceptionalRay:
 
     beta = property(lambda self: Fraction(self.num, self.den))
 
-    @property
-    def discrepancy(self) -> Fraction:
-        return self.beta - 1
-
 
 @dataclass(frozen=True)
 class ChainResolution:
@@ -88,26 +84,22 @@ class ChainResolution:
 
 @dataclass(frozen=True)
 class FanSubdivision:
-    """A candidate resolution: full-dimensional sub-cones of sigma plus the
-    declared interior rays."""
+    """A candidate resolution: full-dimensional sub-cones of sigma.  Its `rays`
+    (orbit-cone correspondence, Fulton section 3.1) are the cone generators not
+    in sigma, in order of first appearance, each with beta = <w, r gamma> / r."""
 
     parent: SingularityData
     cones: tuple[LatticeCone, ...]
-    rays: tuple[ExceptionalRay, ...]
+    rays: tuple[ExceptionalRay, ...] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cones", tuple(self.cones))
-        object.__setattr__(self, "rays", tuple(self.rays))
-        n = self.parent.sigma.dim
-        allowed = set(self.parent.sigma.generators) | {ray.w for ray in self.rays}
+        sigma, r_gamma, r = self.parent.sigma, self.parent.r_gamma, self.parent.quotient.r
         for cone in self.cones:
-            if cone.dim != n:
-                raise ValueError(f"cone {cone.generators} is not full-dimensional (dim {n})")
-            for g in cone.generators:
-                if g not in allowed:
-                    raise ValueError(
-                        f"cone generator {g} is neither a sigma generator nor a declared ray"
-                    )
+            if cone.dim != sigma.dim:
+                raise ValueError(f"cone {cone.generators} is not full-dimensional (dim {sigma.dim})")
+        seen = dict.fromkeys(g for cone in self.cones for g in cone.generators if g not in sigma.generators)
+        object.__setattr__(self, "rays", tuple([ExceptionalRay(w, pairing(w, r_gamma), r) for w in seen]))
 
 
 def hj_continued_fraction(r: int, a: int) -> list[int]:
@@ -165,7 +157,7 @@ def chain_fan(chain: ChainResolution) -> FanSubdivision:
     v = chain.parent.sigma.generators[0]
     boundary = [(0, 1)] + [ray.w for ray in chain.rays] + [v]
     cones = tuple([LatticeCone((p, qq)) for p, qq in zip(boundary, boundary[1:])])
-    return FanSubdivision(parent=chain.parent, cones=cones, rays=chain.rays)
+    return FanSubdivision(parent=chain.parent, cones=cones)
 
 
 def three_dim_family(r: int, a: int) -> FanSubdivision:
@@ -173,8 +165,8 @@ def three_dim_family(r: int, a: int) -> FanSubdivision:
 
     The rays are w_1 = (1,1,1) and w_2 = ((r+1)/a, (r+1)/a, (r+1)/a - 1); w_1
     splits sigma into three cones of which only <v, e_2, w_1> has |det| = a,
-    and w_2 splits that one into three unimodular cones.  Cone angles come out
-    as beta_1 = (2+a)/r and beta_2 = (2(r+1)+a)/(ar).
+    and w_2 splits that one into three unimodular cones.  The fan derives both
+    rays, w_1 first, and must give beta_1 = (2+a)/r and beta_2 = (2(r+1)+a)/(ar).
     """
     if not (isinstance(r, int) and isinstance(a, int)):
         raise ValueError("r and a must be integers")
@@ -198,11 +190,11 @@ def three_dim_family(r: int, a: int) -> FanSubdivision:
         LatticeCone((v, w2, w1)),
         LatticeCone((v, e2, w2)),
     )
-    num1, num2 = pairing(w1, data.r_gamma), pairing(w2, data.r_gamma)
+    fan = FanSubdivision(parent=data, cones=cones)
+    num1, num2 = [ray.num for ray in fan.rays]  # w1 and w2, in order of first appearance
     if num1 != 2 + a or a * num2 != 2 * (r + 1) + a:
         raise AssertionError("pairing and closed-form cone angles disagree")
-    rays = (ExceptionalRay(w=w1, num=num1, den=r), ExceptionalRay(w=w2, num=num2, den=r))
-    return FanSubdivision(parent=data, cones=cones, rays=rays)
+    return fan
 
 
 RAY_THEOREM = "theorem-applicable"
@@ -215,7 +207,6 @@ RAY_NON_KLT = "non-klt"
 class AngleVerdict:
     """Classification of every exceptional ray by its cone angle parameter."""
 
-    rays: tuple[ExceptionalRay, ...]
     labels: tuple[str, ...]
     status: str
     theorem_applies: bool  # every beta strictly inside (0, 1)
@@ -239,8 +230,7 @@ def angle_condition(obj: ChainResolution | FanSubdivision) -> AngleVerdict:
     beta = 1 rays are the crepant (smooth instanton) regime and are reported
     as such rather than failed.
     """
-    rays = obj.rays
-    labels = tuple([_classify(ray) for ray in rays])
+    labels = tuple([_classify(ray) for ray in obj.rays])
     if not labels:
         status = "no-rays"
     elif any(lab == RAY_NON_KLT for lab in labels):
@@ -256,7 +246,6 @@ def angle_condition(obj: ChainResolution | FanSubdivision) -> AngleVerdict:
     theorem_applies = bool(labels) and all(lab == RAY_THEOREM for lab in labels)
     acceptable = all(lab in (RAY_THEOREM, RAY_CREPANT) for lab in labels)
     return AngleVerdict(
-        rays=rays,
         labels=labels,
         status=status,
         theorem_applies=theorem_applies,
@@ -328,12 +317,3 @@ def validate_subdivision(sub: FanSubdivision) -> SubdivisionReport:
         all_interior=all_interior,
         overall=overall,
     )
-
-
-def build_subdivision(data: SingularityData, cones) -> FanSubdivision:
-    """Assemble a FanSubdivision from bare cones: every generator that is not a
-    generator of sigma is declared as an exceptional ray with beta = <w, gamma>."""
-    sigma_gens = set(data.sigma.generators)
-    seen = dict.fromkeys(g for cone in cones for g in cone.generators if g not in sigma_gens)
-    rays = tuple([ExceptionalRay(w=w, num=pairing(w, data.r_gamma), den=data.quotient.r) for w in seen])
-    return FanSubdivision(parent=data, cones=tuple(cones), rays=rays)

@@ -472,6 +472,16 @@ def test_radial_non_finite_or_overflowing_value_is_a_clean_error(c, code, tmp_pa
         assert report["solver"]["error"].startswith("bump overflows: max f0 = ")
 
 
+def test_radial_node_count_too_large_to_hold_is_a_clean_error(tmp_path, capsys):
+    # 10**15 float64 nodes exceed the user address space: numpy refuses before allocating
+    run = tmp_path / "run.txt"
+    run.write_text(RUN_SMALL.replace("nodes = 512", f"nodes = {10**15}"))
+    assert main(["radial", str(run), "--json", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 7: cannot allocate a grid of {10**15} nodes\n"
+
+
 def test_radial_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     import alequot.radial as radial
     from test_radial import zero_step
@@ -522,6 +532,24 @@ def test_exact_reports_match_golden_digest(name, tmp_path, capsys):
         code = main(argv + ["--json", "-"])
         digest.update(f"{code}\n".encode() + capsys.readouterr().out.encode())
     assert digest.hexdigest() == GOLDEN_SHA256[name]
+
+
+# the same over the human summary that main prints without --json
+HUMAN_SHA256 = {
+    "resolve2d": "39e8aeefd6b1066e4a0e768bb8f76e311f2bd7ae580b799a0b5584296084aac9",
+    "resolve3d": "b7e2392600db16546e921237a52425514d241eb1189d70d6e1fa5ed2a03bf659",
+    "check-subdivision": "aee0435aba5507bef42c68e042635799538045a3b0e29214b5d3370afefd31b7",
+    "sweep2d": "be1ceecb02c8ce03c94f37984c46ef3c3925db64a0bf3478711097b5a930a1bf",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUMAN_SHA256))
+def test_human_summaries_match_golden_digest(name, tmp_path, capsys):
+    digest = hashlib.sha256()
+    for argv in _golden_corpus(name, tmp_path):
+        code = main(argv)
+        digest.update(f"{code}\n".encode() + capsys.readouterr().out.encode())
+    assert digest.hexdigest() == HUMAN_SHA256[name]
 
 
 class _Colour(enum.IntEnum):
@@ -611,19 +639,18 @@ PUBLIC_API = {
     "EnergyBreakdown", "ExceptionalRay", "FanSubdivision", "IntersectionMatrix",
     "KahlerConeError", "LatticeCone", "MassReport", "PathConfig", "PathTrace", "RadialGrid",
     "RadialProfile", "SingularityData", "SolverFailure", "StrataReport", "SubdivisionReport",
-    "adjunction_check", "angle_condition", "build_subdivision", "bump_values",
-    "calabi_profile", "chain_fan", "chain_strata", "cone_coordinates", "contains_in_interior",
-    "decay_fit", "det", "energy", "family_strata", "hj_continued_fraction", "hj_resolution",
-    "link_volume", "make_primitive", "mass_integral", "newton_continuity_solve",
-    "oracle_deviation", "oracle_effective_constant", "quadrature_oracle", "sigma_cone",
-    "singularity_data", "three_dim_family", "total_fprime", "unit_vector",
-    "validate_subdivision", "volume_density_inequality",
+    "adjunction_check", "angle_condition", "bump_values", "calabi_profile", "chain_fan",
+    "chain_strata", "contains_in_interior", "decay_fit", "det", "energy", "family_strata",
+    "hj_continued_fraction", "hj_resolution", "link_volume", "mass_integral",
+    "newton_continuity_solve", "oracle_deviation", "oracle_effective_constant",
+    "quadrature_oracle", "singularity_data", "three_dim_family", "total_fprime",
+    "unit_vector", "validate_subdivision", "volume_density_inequality",
 }
 
 
 def test_public_api():
     # growing or shrinking the flat API must be a deliberate edit of this set
-    assert len(PUBLIC_API) == 49
+    assert len(PUBLIC_API) == 45
     assert len(alequot.__all__) == len(set(alequot.__all__))
     assert set(alequot.__all__) == PUBLIC_API
     assert all(hasattr(alequot, name) for name in alequot.__all__)

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from alequot.lattice import LatticeCone
 from alequot.quotient import CyclicQuotient
 from alequot.resolution import (
-    build_subdivision,
+    FanSubdivision,
     chain_fan,
     hj_resolution,
     three_dim_family,
@@ -77,5 +77,5 @@ def test_no_mutated_fan_passes_covering(case):
         lattice_cones = [LatticeCone(cone) for cone in cones]
     except ValueError:  # zero, non-primitive or dependent generators: no fan to certify
         assume(False)
-    report = validate_subdivision(build_subdivision(data, lattice_cones))
+    report = validate_subdivision(FanSubdivision(data, lattice_cones))
     assert not report.covering_ok, (kind, cones)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,14 +7,12 @@ import pytest
 import alequot.lattice as lattice
 from alequot.lattice import (
     LatticeCone,
-    cone_coordinates,
     contains_in_interior,
     det,
     is_primitive,
-    make_primitive,
     unit_vector,
 )
-from oracles import det_by_permutations, lattice_index_by_counting
+from oracles import det_by_permutations, lattice_index_by_counting, solve_fraction
 
 
 def test_det_frozen_examples():
@@ -58,35 +57,12 @@ def test_det_large_entries_exact():
     assert det([(r, r - 3), (0, 1)]) == r
 
 
-def test_make_primitive():
-    assert make_primitive((2, 2)) == (1, 1)
-    assert make_primitive((1, 1)) == (1, 1)
-    assert make_primitive((6, 4, 2)) == (3, 2, 1)
-    assert make_primitive((-4, 6)) == (-2, 3)
-
-
-def test_make_primitive_idempotent():
-    rng = random.Random(99)
-    for _ in range(200):
-        n = rng.randint(1, 4)
-        v = tuple(rng.randint(-30, 30) for _ in range(n))
-        if all(e == 0 for e in v):
-            continue
-        p = make_primitive(v)
-        assert make_primitive(p) == p
-
-
-def test_make_primitive_rejects_zero():
-    with pytest.raises(ValueError):
-        make_primitive((0, 0, 0))
-
-
 def test_is_primitive_agrees_with_make_primitive():
     rng = random.Random(2024)
     for _ in range(500):
         v = tuple(rng.choice([0, 0, 1, -1, 2, -2, 3, 6, -9, 12]) for _ in range(rng.randint(1, 4)))
         if any(v):
-            assert is_primitive(v) == (make_primitive(v) == v)
+            assert is_primitive(v) == (math.gcd(*v) == 1)
     with pytest.raises(ValueError):
         is_primitive((0, 0))
     for bad in ((1, True), (1, 1.0), [1, 1], ()):
@@ -144,18 +120,6 @@ def test_cone_checks_each_generator_once(monkeypatch):
     assert checked == [(1, 1, 1), (0, 1, 0), (0, 0, 1), (-1,)]
 
 
-def test_cone_coordinates_examples():
-    cone = LatticeCone(((7, 4), (0, 1)))
-    assert cone_coordinates((1, 1), cone) == (Fraction(1, 7), Fraction(3, 7))
-    assert cone_coordinates((7, 4), cone) == (Fraction(1), Fraction(0))
-    cone3 = LatticeCone(((7, 6, 3), (0, 1, 0), (0, 0, 1)))
-    assert cone_coordinates((1, 1, 1), cone3) == (
-        Fraction(1, 7),
-        Fraction(1, 7),
-        Fraction(4, 7),
-    )
-
-
 def test_cone_coordinates_round_trip():
     rng = random.Random(31337)
     built = 0
@@ -165,12 +129,13 @@ def test_cone_coordinates_round_trip():
         for _ in range(n):
             v = tuple(rng.randint(-6, 6) for _ in range(n))
             if any(v):
-                gens.append(make_primitive(v))
+                g = math.gcd(*v)
+                gens.append(tuple([e // g for e in v]))
         if len(gens) < n or det(gens[:n]) == 0:
             continue
         cone = LatticeCone(tuple(gens[:n]))
         w = tuple(rng.randint(-15, 15) for _ in range(n))
-        lams = cone_coordinates(w, cone)
+        lams = solve_fraction(cone.generators, w)
         rebuilt = tuple(
             sum(lam * g[i] for lam, g in zip(lams, cone.generators)) for i in range(n)
         )

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from alequot.lattice import det
-from alequot.quotient import CyclicQuotient, sigma_cone, singularity_data
+from alequot.quotient import CyclicQuotient, singularity_data
 from oracles import coprime_pairs
 
 
@@ -23,9 +23,9 @@ def test_constructor_rejects_bad_input():
 
 
 def test_sigma_cone_examples():
-    assert sigma_cone(CyclicQuotient(7, (3,))).generators == ((7, 4), (0, 1))
-    assert sigma_cone(CyclicQuotient(2, (1,))).generators == ((2, 1), (0, 1))
-    assert sigma_cone(CyclicQuotient(7, (1, 4))).generators == (
+    assert singularity_data(CyclicQuotient(7, (3,))).sigma.generators == ((7, 4), (0, 1))
+    assert singularity_data(CyclicQuotient(2, (1,))).sigma.generators == ((2, 1), (0, 1))
+    assert singularity_data(CyclicQuotient(7, (1, 4))).sigma.generators == (
         (7, 6, 3),
         (0, 1, 0),
         (0, 0, 1),
@@ -34,8 +34,8 @@ def test_sigma_cone_examples():
 
 def test_sigma_cone_determinant_is_group_order():
     for r, a in coprime_pairs(40):
-        assert abs(det(sigma_cone(CyclicQuotient(r, (a,))).generators)) == r
-    assert abs(det(sigma_cone(CyclicQuotient(11, (3, 5))).generators)) == 11
+        assert abs(det(singularity_data(CyclicQuotient(r, (a,))).sigma.generators)) == r
+    assert abs(det(singularity_data(CyclicQuotient(11, (3, 5))).sigma.generators)) == 11
 
 
 def test_gamma_examples():
@@ -51,7 +51,7 @@ def test_gamma_pairing_property_surface_sweep():
     for r, a in coprime_pairs(200):
         q = CyclicQuotient(r, (a,))
         g = singularity_data(q).gamma
-        for generator in sigma_cone(q).generators:
+        for generator in singularity_data(q).sigma.generators:
             assert sum(Fraction(c) * gc for c, gc in zip(generator, g)) == 1
 
 
@@ -64,7 +64,7 @@ def test_gamma_pairing_property_threefolds():
                 continue
             q = CyclicQuotient(r, (a2, a3))
             g = singularity_data(q).gamma
-            for generator in sigma_cone(q).generators:
+            for generator in singularity_data(q).sigma.generators:
                 assert sum(Fraction(c) * gc for c, gc in zip(generator, g)) == 1
 
 

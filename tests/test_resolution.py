@@ -4,10 +4,11 @@ import pytest
 
 from alequot import resolution
 from alequot.lattice import LatticeCone, det
+from alequot.formats import parse_subdivision_file
 from alequot.quotient import CyclicQuotient, singularity_data
 from alequot.resolution import (
+    FanSubdivision,
     angle_condition,
-    build_subdivision,
     chain_fan,
     hj_continued_fraction,
     hj_resolution,
@@ -15,6 +16,7 @@ from alequot.resolution import (
     validate_subdivision,
 )
 from oracles import beta_as_coefficient_sum, coprime_pairs, hull_chain_rays
+from test_formats import FAN_74
 
 
 def fold_continued_fraction(digits):
@@ -55,7 +57,7 @@ def test_hj_resolution_worked_example():
     assert [ray.w for ray in chain.rays] == [(1, 1), (3, 2), (5, 3)]
     assert chain.self_intersections == (3, 2, 2)
     assert chain.betas == (Fraction(4, 7), Fraction(5, 7), Fraction(6, 7))
-    assert [ray.discrepancy for ray in chain.rays] == [
+    assert [ray.beta - 1 for ray in chain.rays] == [
         Fraction(-3, 7),
         Fraction(-2, 7),
         Fraction(-1, 7),
@@ -186,20 +188,21 @@ def test_angle_condition_classifications():
     assert crepant.status == "crepant"
     assert not crepant.theorem_applies
     assert crepant.acceptable
-    third = angle_condition(hj_resolution(CyclicQuotient(3, (1,))))
-    assert third.theorem_applies and third.rays[0].beta == Fraction(2, 3)
+    third_chain = hj_resolution(CyclicQuotient(3, (1,)))
+    third = angle_condition(third_chain)
+    assert third.theorem_applies and third_chain.rays[0].beta == Fraction(2, 3)
     # the ray (1, 2) lies outside sigma and pairs to 11/7 with gamma = (-3/7, 1)
     data = singularity_data(CyclicQuotient(7, (3,)))
-    outside = build_subdivision(data, [LatticeCone(((0, 1), (1, 2))), LatticeCone(((1, 2), (7, 4)))])
+    outside = FanSubdivision(data, [LatticeCone(((0, 1), (1, 2))), LatticeCone(((1, 2), (7, 4)))])
     positive = angle_condition(outside)
-    assert positive.rays[0].beta == Fraction(11, 7)
+    assert outside.rays[0].beta == Fraction(11, 7)
     assert positive.status == "positive-discrepancy"
     assert not positive.acceptable
 
 
 def test_validate_subdivision_trivial_fan():
     data = singularity_data(CyclicQuotient(7, (3,)))
-    fan = build_subdivision(data, [data.sigma])
+    fan = FanSubdivision(data, [data.sigma])
     report = validate_subdivision(fan)
     assert report.covering_ok and report.covering_sum == 7
     assert not report.all_unimodular
@@ -210,7 +213,7 @@ def test_validate_subdivision_trivial_fan():
 def test_validate_subdivision_partial_fan():
     data = singularity_data(CyclicQuotient(7, (3,)))
     cones = [LatticeCone(((0, 1), (1, 1))), LatticeCone(((1, 1), (7, 4)))]
-    report = validate_subdivision(build_subdivision(data, cones))
+    report = validate_subdivision(FanSubdivision(data, cones))
     assert report.covering_ok and report.covering_sum == 7
     assert report.cone_determinants == (1, 3)
     assert not report.all_unimodular
@@ -229,13 +232,13 @@ def test_validate_subdivision_full_chain_fan():
 def test_validate_subdivision_detects_overlap_and_gap():
     data = singularity_data(CyclicQuotient(7, (3,)))
     # gap: two cones that do not abut
-    gap = build_subdivision(
+    gap = FanSubdivision(
         data, [LatticeCone(((0, 1), (1, 1))), LatticeCone(((3, 2), (7, 4)))]
     )
     report = validate_subdivision(gap)
     assert not report.covering_ok
     # overlap: sectors sharing interior
-    overlap = build_subdivision(
+    overlap = FanSubdivision(
         data, [LatticeCone(((0, 1), (3, 2))), LatticeCone(((1, 1), (7, 4)))]
     )
     report = validate_subdivision(overlap)
@@ -245,7 +248,7 @@ def test_validate_subdivision_detects_overlap_and_gap():
 
 def test_validate_subdivision_ray_outside_sigma():
     data = singularity_data(CyclicQuotient(7, (3,)))
-    fan = build_subdivision(
+    fan = FanSubdivision(
         data, [LatticeCone(((1, -1), (0, 1))), LatticeCone(((1, -1), (7, 4)))]
     )
     report = validate_subdivision(fan)
@@ -258,3 +261,24 @@ def test_chain_fan_matches_rays():
     fan = chain_fan(chain)
     assert fan.rays == chain.rays
     assert len(fan.cones) == len(chain.rays) + 1
+
+
+def test_fan_rays_are_the_cones_new_generators_in_order():
+    quotient, cones = parse_subdivision_file(FAN_74)
+    data = singularity_data(quotient)
+    assert [ray.w for ray in FanSubdivision(data, cones).rays] == [(1, 1, 1), (2, 2, 1)]
+    fan = FanSubdivision(data, cones[::-1])
+    assert [ray.w for ray in fan.rays] == [(2, 2, 1), (1, 1, 1)]
+    for ray in fan.rays:
+        assert (ray.num, ray.den) == (sum(x * y for x, y in zip(ray.w, data.r_gamma)), 7)
+
+
+def test_fan_of_sigma_alone_has_no_rays():
+    data = singularity_data(CyclicQuotient(7, (1, 4)))
+    assert FanSubdivision(data, [data.sigma]).rays == ()
+
+
+def test_fan_rejects_a_cone_of_lower_dimension():
+    data = singularity_data(CyclicQuotient(7, (1, 4)))
+    with pytest.raises(ValueError, match="not full-dimensional"):
+        FanSubdivision(data, [data.sigma, LatticeCone(((1, 0), (0, 1)))])
