@@ -26,7 +26,7 @@ import sys
 from math import gcd
 
 from . import __version__
-from .formats import parse_run_file, parse_subdivision_file, rational_str, real_str
+from .formats import parse_run_file, parse_subdivision_file, rational_str, read_text, real_str
 from .quotient import CyclicQuotient, singularity_data
 from .resolution import (
     FanSubdivision,
@@ -88,15 +88,16 @@ def _angle_certificate(verdict, betas: list[str]) -> dict:
     }
 
 
-def _strata_certificate(report, betas: list[str]) -> dict:
+def _strata_certificate(report, betas: list[str], r: int) -> dict:
     # a one-ray stratum's product is that ray's beta
     return {
         "verdict": _verdict(report.overall),
-        "nu": rational_str(report.nu),
+        "nu": rational_str(1, r),
         "strata": [
             {
                 "rays": list(chk.indices),
-                "product": betas[chk.indices[0]] if len(chk.indices) == 1 else rational_str(chk.num, chk.den),
+                "product": (betas[chk.indices[0]] if len(chk.indices) == 1
+                            else rational_str(chk.num, r ** len(chk.indices))),
                 "strict": chk.strict,
             }
             for chk in report.strata
@@ -117,7 +118,7 @@ def _exact_report(command: str, inputs: dict, data, body: dict, certificates: di
         "singularity": {
             "gamma": [rational_str(x, data.quotient.r) for x in data.r_gamma],
             "gorenstein_index": data.gorenstein_index,
-            "volume_density": rational_str(data.volume_density),
+            "volume_density": rational_str(1, data.quotient.r),
         },
         **body,
         "certificates": certificates,
@@ -126,7 +127,7 @@ def _exact_report(command: str, inputs: dict, data, body: dict, certificates: di
     return report, _exit_code(certificates.values())
 
 
-def _subdivision_certificates(sub_report) -> dict:
+def _subdivision_certificates(sub_report, r: int) -> dict:
     return {
         "unimodularity": {
             "verdict": _verdict(sub_report.all_unimodular),
@@ -134,8 +135,8 @@ def _subdivision_certificates(sub_report) -> dict:
         },
         "covering": {
             "verdict": _verdict(sub_report.covering_ok),
-            "weighted_volume": None if sub_report.covering_sum is None else rational_str(sub_report.covering_sum),
-            "expected": sub_report.covering_expected,
+            "weighted_volume": None if sub_report.covering_sum is None else rational_str(*sub_report.covering_sum),
+            "expected": r,
         },
         "interiority": {
             "verdict": _verdict(sub_report.all_interior),
@@ -145,13 +146,14 @@ def _subdivision_certificates(sub_report) -> dict:
 
 
 def _subdivision_section(fan, betas: list[str], discrepancies: bool) -> dict:
+    r = fan.parent.quotient.r
     section = {
         "cones": [[list(g) for g in cone.generators] for cone in fan.cones],
         "rays": [list(ray.w) for ray in fan.rays],
         "beta": betas,
     }
     if discrepancies:
-        section["discrepancies"] = [rational_str(ray.num - ray.den, ray.den) for ray in fan.rays]
+        section["discrepancies"] = [rational_str(ray.num - r, r) for ray in fan.rays]
     return {"subdivision": section}
 
 
@@ -161,8 +163,8 @@ def resolve2d_report(r: int, a: int) -> tuple[dict, int]:
     data = chain.parent
     im = IntersectionMatrix(bs=chain.self_intersections)
     bk = energy(chain)
-    strata = volume_density_inequality(chain.rays, chain_strata(len(chain.rays)), data.volume_density)
-    betas = [rational_str(ray.num, ray.den) for ray in chain.rays]  # formatted once, printed thrice
+    strata = volume_density_inequality(chain.rays, chain_strata(len(chain.rays)), r)
+    betas = [rational_str(ray.num, r) for ray in chain.rays]  # formatted once, printed thrice
 
     certificates = {
         "angle_condition": _angle_certificate(angle_condition(chain), betas),
@@ -178,22 +180,22 @@ def resolve2d_report(r: int, a: int) -> tuple[dict, int]:
             "verdict": _verdict(adjunction_check(chain)),
             "row_targets": [str(b - 2) for b in chain.self_intersections],
         },
-        "volume_density": _strata_certificate(strata, betas),
+        "volume_density": _strata_certificate(strata, betas, r),
     }
     resolution = {
         "rays": [list(ray.w) for ray in chain.rays],
         "self_intersections": list(chain.self_intersections),
         "continued_fraction": list(chain.self_intersections),
         "beta": betas,
-        "discrepancies": [rational_str(ray.num - ray.den, ray.den) for ray in chain.rays],
+        "discrepancies": [rational_str(ray.num - r, r) for ray in chain.rays],
     }
     tail = {
         "energy": {
             "chi": bk.chi_x,
-            "curve_terms": [rational_str(x, bk.den) for x in bk.curve_nums],
-            "node_terms": [rational_str(x, bk.den**2) for x in bk.node_nums],
-            "group_term": rational_str(bk.group_num, bk.den),
-            "total": rational_str(bk.total_num, bk.den**2),
+            "curve_terms": [rational_str(x, r) for x in bk.curve_nums],
+            "node_terms": [rational_str(x, r * r) for x in bk.node_nums],
+            "group_term": rational_str(-1, r),
+            "total": rational_str(bk.total_num, r * r),
             "conditional": bk.conditional,
         },
         "notes": [GAMMA_NOTE] + ([ENERGY_NOTE] if bk.conditional else []),
@@ -203,12 +205,12 @@ def resolve2d_report(r: int, a: int) -> tuple[dict, int]:
 
 def resolve3d_report(r: int, a: int) -> tuple[dict, int]:
     fan = three_dim_family(r, a)
-    strata = volume_density_inequality(fan.rays, family_strata(), fan.parent.volume_density)
-    betas = [rational_str(ray.num, ray.den) for ray in fan.rays]
+    strata = volume_density_inequality(fan.rays, family_strata(), r)
+    betas = [rational_str(ray.num, r) for ray in fan.rays]
     certificates = {
-        **_subdivision_certificates(validate_subdivision(fan)),
+        **_subdivision_certificates(validate_subdivision(fan), r),
         "angle_condition": _angle_certificate(angle_condition(fan), betas),
-        "volume_density": _strata_certificate(strata, betas),
+        "volume_density": _strata_certificate(strata, betas, r),
     }
     body = _subdivision_section(fan, betas, discrepancies=True)
     return _exact_report("resolve3d", {"r": r, "a": a}, fan.parent, body, certificates)
@@ -218,9 +220,9 @@ def check_subdivision_report(text: str) -> tuple[dict, int]:
     quotient, cones = parse_subdivision_file(text)
     fan = FanSubdivision(singularity_data(quotient), cones)
     sub_report = validate_subdivision(fan)
-    betas = [rational_str(ray.num, ray.den) for ray in fan.rays]
+    betas = [rational_str(ray.num, quotient.r) for ray in fan.rays]
     certificates = {
-        **_subdivision_certificates(sub_report),
+        **_subdivision_certificates(sub_report, quotient.r),
         "disjointness": {
             "verdict": _verdict(sub_report.covering_ok) if fan.parent.sigma.dim == 2 else NA,
         },
@@ -504,8 +506,7 @@ def main(argv=None) -> int:
     build, _, positionals = COMMANDS[command]
     try:
         if positionals == ("file",):
-            with open(values[0]) as fh:
-                values = [fh.read()]
+            values = [read_text(values[0])]
         report, code = build(*values)
         return _emit(report, code, json_path)  # an unwritable --json path or stdout is an OSError too
     except (ValueError, OSError) as exc:  # ParseError is a ValueError

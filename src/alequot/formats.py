@@ -14,15 +14,14 @@ Two hand-writable text formats feed the CLI:
       s0 = 5.0
       ...
 
-Reports serialize every exact rational as a "p/q" string (round-trips through
-Fraction losslessly) and every real rounded to 12 significant digits, so
-identical inputs produce byte-identical reports.
+Both are read as UTF-8.  Reports print every exact rational as a lossless
+"p/q" string and every real rounded to 12 significant digits, so identical
+inputs produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .lattice import LatticeCone
 from .quotient import CyclicQuotient
@@ -36,17 +35,23 @@ class ParseError(ValueError):
         self.line = line
 
 
-def rational_str(num: Fraction | int, den: int = 1) -> str:
-    """The exact value num / den as "p/q" in lowest terms with q > 0, or "p"
-    when q = 1, the text str(Fraction(num, den)) gives.  An int numerator and
-    denominator are reduced here without building a Fraction; a Fraction
-    (with den = 1) is printed as it is."""
-    if den != 1:
-        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
-        num, den = num // g, den // g
-        if den != 1:
-            return f"{num}/{den}"
-    return str(num)
+def rational_str(num: int, den: int) -> str:
+    """The exact value num / den (integers, den != 0) as "p/q" in lowest terms
+    with q > 0, or "p" when q = 1, as the standard library's Fraction prints it."""
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def read_text(path: str) -> str:
+    """An input file's text, decoded as UTF-8; a bad byte is a ParseError at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + ".").splitlines())  # "." stands in for the bad byte
+        raise ParseError(line, f"byte 0x{data[exc.start]:02x} is not valid UTF-8") from None
 
 
 def real_str(value: float) -> float:

@@ -15,7 +15,6 @@ discrepancy of the corresponding exceptional divisor is beta - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .lattice import IntVec, LatticeCone, pairing, unit_vector
@@ -53,18 +52,16 @@ class CyclicQuotient:
 
 @dataclass(frozen=True)
 class SingularityData:
-    """Derived toric package of a cyclic quotient: cone, gamma, index, density.
+    """Derived toric package of a cyclic quotient: cone, gamma and index.
 
     gamma is kept as the integer covector r * gamma, so the cone angle
-    parameter of a ray w is the integer <w, r gamma> over r."""
+    parameter of a ray w is the integer <w, r gamma> over r.  The volume
+    density at infinity, vol(S^{2n-1}/mu_r) / vol(S^{2n-1}), is 1/r."""
 
     quotient: CyclicQuotient
     sigma: LatticeCone
     r_gamma: IntVec             # r * gamma, integral
     gorenstein_index: int       # smallest l >= 1 with l * gamma integral
-    volume_density: Fraction    # vol(S^{2n-1}/mu_r) / vol(S^{2n-1}) = 1/r
-
-    gamma = property(lambda self: tuple([Fraction(x, self.quotient.r) for x in self.r_gamma]))
 
 
 def singularity_data(q: CyclicQuotient) -> SingularityData:
@@ -88,5 +85,4 @@ def singularity_data(q: CyclicQuotient) -> SingularityData:
         sigma=sigma,
         r_gamma=r_gamma,
         gorenstein_index=q.r // gcd(q.r, *r_gamma),
-        volume_density=Fraction(1, q.r),
     )

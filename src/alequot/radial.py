@@ -37,6 +37,7 @@ picks the steps in t; each attempt warm starts from the last accepted u.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -166,6 +167,10 @@ class PathConfig:
                 f"bump support [{self.s0 - self.w}, {self.s0 + self.w}] must be interior to "
                 f"[{grid.s_min}, {grid.s_max}]", "s0", "w", "s_min", "s_max"
             )
+        # the background profile computes s_min^-n, then C s_min^-n: compared in logs, numpy never overflows
+        if max(math.log(self.calabi_c), 0.0) - self.n * math.log(grid.s_min) > math.log(sys.float_info.max):
+            raise _Rejected(f"C s_min^-n = {self.calabi_c} * {grid.s_min}^-{self.n} overflows a float",
+                            "n", "calabi_c", "s_min")
 
 
 def bump_values(config: PathConfig, s) -> np.ndarray:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
 
@@ -42,21 +41,16 @@ from .quotient import CyclicQuotient, SingularityData, singularity_data
 @dataclass(frozen=True)
 class ExceptionalRay:
     """A primitive interior ray with its cone angle parameter beta = <w, gamma>,
-    kept exact as beta = num / den with den > 0.  The rays of a resolution of
-    1/r(...) have num = <w, r gamma> and den = r."""
+    kept exact as the integer num = <w, r gamma>: beta = num / r, with r the
+    order of the quotient whose resolution holds the ray."""
 
     w: IntVec
     num: int
-    den: int
 
     def __post_init__(self):
         object.__setattr__(self, "w", tuple(self.w))
         if not is_primitive(self.w):
             raise ValueError(f"ray vector {self.w} is not primitive")
-        if self.den <= 0:
-            raise ValueError(f"beta denominator must be positive, got {self.den}")
-
-    beta = property(lambda self: Fraction(self.num, self.den))
 
 
 @dataclass(frozen=True)
@@ -77,10 +71,6 @@ class ChainResolution:
     def quotient(self) -> CyclicQuotient:
         return self.parent.quotient
 
-    @property
-    def betas(self) -> tuple[Fraction, ...]:
-        return tuple([ray.beta for ray in self.rays])
-
 
 @dataclass(frozen=True)
 class FanSubdivision:
@@ -94,12 +84,12 @@ class FanSubdivision:
 
     def __post_init__(self):
         object.__setattr__(self, "cones", tuple(self.cones))
-        sigma, r_gamma, r = self.parent.sigma, self.parent.r_gamma, self.parent.quotient.r
+        sigma, r_gamma = self.parent.sigma, self.parent.r_gamma
         for cone in self.cones:
             if cone.dim != sigma.dim:
                 raise ValueError(f"cone {cone.generators} is not full-dimensional (dim {sigma.dim})")
         seen = dict.fromkeys(g for cone in self.cones for g in cone.generators if g not in sigma.generators)
-        object.__setattr__(self, "rays", tuple([ExceptionalRay(w, pairing(w, r_gamma), r) for w in seen]))
+        object.__setattr__(self, "rays", tuple([ExceptionalRay(w, pairing(w, r_gamma)) for w in seen]))
 
 
 def hj_continued_fraction(r: int, a: int) -> list[int]:
@@ -148,7 +138,7 @@ def hj_resolution(q: CyclicQuotient) -> ChainResolution:
         num = pairing(w, data.r_gamma)
         if not (0 < num <= r):
             raise AssertionError(f"cone angle parameter {num}/{r} for ray {w} outside (0, 1]")
-        rays.append(ExceptionalRay(w=w, num=num, den=r))
+        rays.append(ExceptionalRay(w=w, num=num))
     return ChainResolution(parent=data, rays=tuple(rays), self_intersections=tuple(digits))
 
 
@@ -213,12 +203,12 @@ class AngleVerdict:
     acceptable: bool       # every beta inside (0, 1]; crepant rays allowed
 
 
-def _classify(ray: ExceptionalRay) -> str:
-    if ray.num <= 0:
+def _classify(num: int, r: int) -> str:
+    if num <= 0:
         return RAY_NON_KLT
-    if ray.num < ray.den:
+    if num < r:
         return RAY_THEOREM
-    if ray.num == ray.den:
+    if num == r:
         return RAY_CREPANT
     return RAY_POSITIVE
 
@@ -230,7 +220,8 @@ def angle_condition(obj: ChainResolution | FanSubdivision) -> AngleVerdict:
     beta = 1 rays are the crepant (smooth instanton) regime and are reported
     as such rather than failed.
     """
-    labels = tuple([_classify(ray) for ray in obj.rays])
+    r = obj.parent.quotient.r
+    labels = tuple([_classify(ray.num, r) for ray in obj.rays])
     if not labels:
         status = "no-rays"
     elif any(lab == RAY_NON_KLT for lab in labels):
@@ -259,14 +250,15 @@ class SubdivisionReport:
 
     `covering_ok` is the face count and the weighted-volume identity together,
     a proof that the cones form a fan subdividing sigma (module docstring).
+    `covering_sum` is the weighted volume as an unreduced pair (num, den), or
+    None when a pairing is not positive; the identity asks num / den = r.
     Check failures land here as verdicts, never as exceptions, so a report can
     be produced for defective input fans.
     """
 
     cone_determinants: tuple[int, ...]
     all_unimodular: bool
-    covering_sum: Fraction | None
-    covering_expected: int
+    covering_sum: tuple[int, int] | None
     covering_ok: bool
     ray_interior: tuple[bool, ...]
     all_interior: bool
@@ -280,24 +272,22 @@ def validate_subdivision(sub: FanSubdivision) -> SubdivisionReport:
     weighted-volume identity: a fan-tiling proof in any dimension (Fulton
     section 2; De Loera-Rambau-Santos chapter 4, see the module docstring)."""
     data = sub.parent
-    sigma = data.sigma
-    r = abs(sigma.determinant)
+    sigma, r = data.sigma, data.quotient.r
 
     dets = tuple([abs(cone.determinant) for cone in sub.cones])
 
     # d / prod(beta_g) = d r^n / prod <g, r gamma>, summed over one denominator
     pairings = [[pairing(g, data.r_gamma) for g in cone.generators] for cone in sub.cones]
-    covering_sum: Fraction | None = None
+    covering_sum = None
     if all(min(nums) > 0 for nums in pairings):
         den = lcm(*[prod(nums) for nums in pairings])
-        scale = data.quotient.r ** sigma.dim
-        terms = (d * scale * (den // prod(nums)) for d, nums in zip(dets, pairings))
-        covering_sum = Fraction(sum(terms), den)
+        scale = r ** sigma.dim
+        covering_sum = (sum(d * scale * (den // prod(nums)) for d, nums in zip(dets, pairings)), den)
     # sorted generators give sorted faces, so a face is the same tuple in every cone
     faces = Counter(f for cone in sub.cones for f in combinations(sorted(cone.generators), sigma.dim - 1))
     facets = set(combinations(sorted(sigma.generators), sigma.dim - 1))
     covering_ok = (
-        covering_sum == r
+        covering_sum is not None and covering_sum[0] == r * covering_sum[1]
         and facets <= faces.keys()
         and all(k == (1 if f in facets else 2) for f, k in faces.items())
     )
@@ -311,7 +301,6 @@ def validate_subdivision(sub: FanSubdivision) -> SubdivisionReport:
         cone_determinants=dets,
         all_unimodular=all_unimodular,
         covering_sum=covering_sum,
-        covering_expected=r,
         covering_ok=covering_ok,
         ray_interior=ray_interior,
         all_interior=all_interior,

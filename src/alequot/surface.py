@@ -27,9 +27,7 @@ crossings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .resolution import ChainResolution, ExceptionalRay
 
@@ -79,10 +77,6 @@ class IntersectionMatrix:
         row[1 - i % 2::2] = [-x for x in row[1 - i % 2::2]]  # the sign (-1)^(i + j)
         return row
 
-    def inverse_row(self, i: int) -> list[Fraction]:
-        """Row i (0-based) of the exact inverse, O(k)."""
-        return [Fraction(x, self.determinant()) for x in self.adjugate_row(i)]
-
     def inverse_entries_nonpositive(self) -> bool:
         """O(k) proof that every entry of the inverse is <= 0 (in fact < 0).
 
@@ -95,19 +89,12 @@ class IntersectionMatrix:
         matrix with a non-negative inverse is a non-singular M-matrix, whose
         principal minors, leading and trailing alike, are all positive
         (Berman-Plemmons, Nonnegative Matrices in the Mathematical Sciences,
-        ch. 6).  So the check agrees with inspecting every inverse_row(i)
-        entry by entry.
+        ch. 6).  So the check agrees with inspecting every adjugate_row(i)
+        over determinant() entry by entry.
         """
         k = self.size
         _, f = self._continuants
         return self.is_negative_definite() and all(f[j] * (-1) ** (k - j + 1) > 0 for j in range(1, k + 1))
-
-
-def _numerators(chain: ChainResolution) -> tuple[int, list[int]]:
-    """(D, [D beta_j]): the least common denominator D of 1/r and the betas,
-    which is r for a resolution, and every beta as an integer over it."""
-    den = lcm(chain.quotient.r, *[ray.den for ray in chain.rays])
-    return den, [ray.num * (den // ray.den) for ray in chain.rays]
 
 
 def adjunction_check(chain: ChainResolution) -> bool:
@@ -115,62 +102,50 @@ def adjunction_check(chain: ChainResolution) -> bool:
 
     This is adjunction on each curve: deg K_{E_i} = -2 and K_X . E_i picks up
     the discrepancies against the i-th row of the intersection matrix.  Over
-    the common denominator D of the betas it is the integer identity
-    sum_j (n_j - D) (E_j . E_i) = (b_i - 2) D with n_j = D beta_j.
+    the group order r it is the integer identity
+    sum_j (n_j - r) (E_j . E_i) = (b_i - 2) r with n_j = r beta_j.
     """
-    den, nums = _numerators(chain)
-    m = [0] + [x - den for x in nums] + [0]  # D (beta_j - 1), padded by zeros
+    r = chain.quotient.r
+    m = [0] + [ray.num - r for ray in chain.rays] + [0]  # r (beta_j - 1), padded by zeros
     return all(
-        m[i - 1] - b * m[i] + m[i + 1] == (b - 2) * den for i, b in enumerate(chain.self_intersections, 1)
+        m[i - 1] - b * m[i] + m[i + 1] == (b - 2) * r for i, b in enumerate(chain.self_intersections, 1)
     )
 
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
     """Terms of the curvature energy of a chain resolution, all exact: integers
-    over `den` (the group order r for a resolution) for the curve and group
-    terms, over den^2 for the node terms and the total, and Fraction views."""
+    over the group order r for the curve terms and over r^2 for the node terms
+    and the total.  The group term is -1/r."""
 
     chi_x: int
-    den: int
     curve_nums: tuple[int, ...]
     node_nums: tuple[int, ...]
-    group_num: int
     total_num: int
     conditional: bool  # node terms rest on the normal-crossing tube limit
-
-    curve_terms = property(lambda self: tuple([Fraction(x, self.den) for x in self.curve_nums]))
-    node_terms = property(lambda self: tuple([Fraction(x, self.den**2) for x in self.node_nums]))
-    group_term = property(lambda self: Fraction(self.group_num, self.den))
-    total = property(lambda self: Fraction(self.total_num, self.den**2))
 
 
 def energy(chain: ChainResolution) -> EnergyBreakdown:
     """Curvature energy of the chain: chi(X) = k + 1, end curves have
     chi(E*) = 1 and interior curves 0 (a single curve keeps chi = 2)."""
-    den, nums = _numerators(chain)
+    r, nums = chain.quotient.r, [ray.num for ray in chain.rays]
     k = len(nums)
     chi_star = [2] if k == 1 else [1] + [0] * (k - 2) + [1]
-    curve_nums = tuple([(x - den) * chi for x, chi in zip(nums, chi_star)])
-    node_nums = tuple([x * y - den * den for x, y in zip(nums, nums[1:])])
-    group_num = -(den // chain.quotient.r)
-    total_num = ((k + 1) * den + sum(curve_nums) + group_num) * den + sum(node_nums)
-    return EnergyBreakdown(k + 1, den, curve_nums, node_nums, group_num, total_num, conditional=k > 1)
+    curve_nums = tuple([(x - r) * chi for x, chi in zip(nums, chi_star)])
+    node_nums = tuple([x * y - r * r for x, y in zip(nums, nums[1:])])
+    total_num = ((k + 1) * r + sum(curve_nums) - 1) * r + sum(node_nums)
+    return EnergyBreakdown(k + 1, curve_nums, node_nums, total_num, conditional=k > 1)
 
 
 @dataclass(frozen=True)
 class StratumCheck:
-    indices: tuple[int, ...]         # 0-based ray indices of the stratum
-    num: int                         # num / den is the product of the
-    den: int                         # beta over the stratum
-    strict: bool                     # product > nu strictly
-
-    product = property(lambda self: Fraction(self.num, self.den))
+    indices: tuple[int, ...]         # 0-based ray indices of the stratum S
+    num: int                         # num / r^|S| is the product of beta over S
+    strict: bool                     # product > nu = 1/r strictly
 
 
 @dataclass(frozen=True)
 class StrataReport:
-    nu: Fraction
     strata: tuple[StratumCheck, ...]
     overall: bool
 
@@ -188,18 +163,15 @@ def family_strata() -> list[tuple[int, ...]]:
 def volume_density_inequality(
     rays: tuple[ExceptionalRay, ...] | list[ExceptionalRay],
     strata: list[tuple[int, ...]],
-    nu: Fraction,
+    r: int,
 ) -> StrataReport:
-    """Check the Bishop-Gromov consequence: on every nonempty intersection
+    """Check the Bishop-Gromov consequence: on every nonempty intersection S
     of exceptional divisors the product of the beta exceeds the volume
-    density of the cone at infinity, strictly."""
-    nums, dens = [ray.num for ray in rays], [ray.den for ray in rays]
+    density 1/r of the cone at infinity, strictly: num * r > r^|S|."""
     checks = []
     for stratum in strata:
-        num = den = 1
+        num = 1
         for idx in stratum:
-            num *= nums[idx]
-            den *= dens[idx]
-        strict = num * nu.denominator > nu.numerator * den
-        checks.append(StratumCheck(indices=tuple(stratum), num=num, den=den, strict=strict))
-    return StrataReport(nu=nu, strata=tuple(checks), overall=all(c.strict for c in checks))
+            num *= rays[idx].num
+        checks.append(StratumCheck(indices=tuple(stratum), num=num, strict=num * r > r ** len(stratum)))
+    return StrataReport(strata=tuple(checks), overall=all(c.strict for c in checks))

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -375,7 +376,7 @@ runs = [["resolve2d", "7", "3"], ["resolve3d", "7", "4"], ["check-subdivision", 
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv + ["--json", "-"]) for argv in runs]
 assert codes == [0, 0, 0, 0], codes
-loaded = [name for name in ("numpy", "scipy", "argparse") if name in sys.modules]
+loaded = [name for name in ("numpy", "scipy", "argparse", "fractions") if name in sys.modules]
 assert not loaded, f"exact commands loaded {loaded}"
 
 # a usage error still gets argparse's usage line and exit code 2
@@ -480,6 +481,35 @@ def test_radial_node_count_too_large_to_hold_is_a_clean_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: line 7: cannot allocate a grid of {10**15} nodes\n"
+
+
+@pytest.mark.parametrize("old, new, product", [
+    ("n = 3", "n = 200", "1.0 * 0.01^-200"),
+    ("C = 1.0", "C = 1e308", "1e+308 * 0.01^-3"),
+], ids=["n-200", "C-1e308"])
+def test_radial_background_overflow_is_rejected_at_a_line(old, new, product, tmp_path, capsys):
+    # C s_min^-n is checked in logarithms before numpy evaluates it, so nothing warns
+    run = tmp_path / "run.txt"
+    run.write_text(RUN_SMALL.replace(old, new))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["radial", str(run), "--json", "-"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: line 3: C s_min^-n = {product} overflows a float\n")
+
+
+@pytest.mark.parametrize("command, text, line, byte", [
+    ("check-subdivision", FAN_74.replace("0 1 0 | 1 1 1\n", "0 1 0 | 1 1 1  # \xff\n"), 6, "0xff"),
+    ("radial", RUN_SMALL.replace("s0 = 5.0", "s0 = 5.0\n# caf\xe9"), 5, "0xe9"),
+], ids=["fan-file", "run-file"])
+def test_input_files_are_utf8_and_a_bad_byte_names_its_line(command, text, line, byte, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_bytes(text.encode("latin-1"))   # one byte that UTF-8 cannot start a character with
+    assert main([command, str(path), "--json", "-"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: line {line}: byte {byte} is not valid UTF-8\n")
+    path.write_bytes(text.encode("utf-8"))   # the same characters in UTF-8 are a comment: a report, no error
+    assert main([command, str(path), "--json", "-"]) in (0, 1)
 
 
 def test_radial_solver_failure_exit_code(tmp_path, monkeypatch, capsys):

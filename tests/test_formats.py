@@ -35,7 +35,10 @@ nodes = 256
 
 def test_rational_round_trip():
     for value in (Fraction(4, 7), Fraction(-3, 7), Fraction(5), Fraction(-19, 49), Fraction(0)):
-        assert Fraction(rational_str(value)) == value
+        assert Fraction(rational_str(value.numerator, value.denominator)) == value
+    # unreduced pairs and negative denominators print as str(Fraction(num, den)) does
+    for num, den in ((6, 14), (-6, 14), (6, -14), (-6, -14), (49, 7), (0, -7), (-20, 49)):
+        assert rational_str(num, den) == str(Fraction(num, den))
 
 
 def test_real_str_significant_digits():
@@ -103,6 +106,7 @@ def test_parse_run_file():
         ("n = 3\nC = -1.0\ns0 = 5.0\nw = 2.0\nc = 0.0\n", 2),
         ("n = 3\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = 0.0\ns_min = 4.0\nnodes = 256\n", 6),   # bump not interior
         ("n = 3\ns_min = 20000\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = 0.0\n", 2),   # above the default s_max
+        ("n = 3\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = 0.0\ns_min = 1e-200\n", 6),   # C s_min^-n overflows
         # a check of several keys names the last line among them: s_min, then s0 and w
         ("s_min = 4.0\nn = 3\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = 0.0\n", 5),
     ],

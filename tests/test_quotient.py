@@ -2,9 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from alequot.cli import resolve2d_report, resolve3d_report
 from alequot.lattice import det
 from alequot.quotient import CyclicQuotient, singularity_data
 from oracles import coprime_pairs
+
+
+def gamma(data):
+    """gamma as exact rationals: the stored integer covector r gamma over r."""
+    return tuple([Fraction(x, data.quotient.r) for x in data.r_gamma])
 
 
 def test_constructor_rejects_bad_input():
@@ -39,18 +45,18 @@ def test_sigma_cone_determinant_is_group_order():
 
 
 def test_gamma_examples():
-    assert singularity_data(CyclicQuotient(7, (3,))).gamma == (Fraction(-3, 7), Fraction(1))
+    assert gamma(singularity_data(CyclicQuotient(7, (3,)))) == (Fraction(-3, 7), Fraction(1))
     # Gorenstein A-series: gamma integral
     for r in (2, 5, 9):
-        assert singularity_data(CyclicQuotient(r, (r - 1,))).gamma == (Fraction(0), Fraction(1))
-    assert singularity_data(CyclicQuotient(7, (1, 4))).gamma == (Fraction(-8, 7), Fraction(1), Fraction(1))
+        assert gamma(singularity_data(CyclicQuotient(r, (r - 1,)))) == (Fraction(0), Fraction(1))
+    assert gamma(singularity_data(CyclicQuotient(7, (1, 4)))) == (Fraction(-8, 7), Fraction(1), Fraction(1))
 
 
 def test_gamma_pairing_property_surface_sweep():
     # <g, gamma> = 1 for every generator, exhaustively for surfaces up to r = 200
     for r, a in coprime_pairs(200):
         q = CyclicQuotient(r, (a,))
-        g = singularity_data(q).gamma
+        g = gamma(singularity_data(q))
         for generator in singularity_data(q).sigma.generators:
             assert sum(Fraction(c) * gc for c, gc in zip(generator, g)) == 1
 
@@ -63,7 +69,7 @@ def test_gamma_pairing_property_threefolds():
             if gcd(a3, r) != 1:
                 continue
             q = CyclicQuotient(r, (a2, a3))
-            g = singularity_data(q).gamma
+            g = gamma(singularity_data(q))
             for generator in singularity_data(q).sigma.generators:
                 assert sum(Fraction(c) * gc for c, gc in zip(generator, g)) == 1
 
@@ -81,13 +87,17 @@ def test_gorenstein_index_divides_r():
 
 
 def test_volume_density():
-    for r, weights in ((7, (3,)), (2, (1,)), (7, (1, 4))):
-        assert singularity_data(CyclicQuotient(r, weights)).volume_density == Fraction(1, r)
+    # 1/r is the covolume of the quotient lattice, 1/|det sigma|, and the reports print it
+    for r, weights, (report, _) in ((7, (3,), resolve2d_report(7, 3)), (2, (1,), resolve2d_report(2, 1)),
+                                    (7, (1, 4), resolve3d_report(7, 4))):
+        data = singularity_data(CyclicQuotient(r, weights))
+        assert Fraction(1, abs(data.sigma.determinant)) == Fraction(1, r)
+        assert Fraction(report["singularity"]["volume_density"]) == Fraction(1, r)
 
 
 def test_singularity_data_bundle():
     data = singularity_data(CyclicQuotient(7, (3,)))
     assert data.sigma.generators == ((7, 4), (0, 1))
-    assert data.gamma == (Fraction(-3, 7), Fraction(1))
+    assert gamma(data) == (Fraction(-3, 7), Fraction(1))
     assert data.gorenstein_index == 7
-    assert data.volume_density == Fraction(1, 7)
+    assert Fraction(1, abs(data.sigma.determinant)) == Fraction(1, 7)

@@ -19,6 +19,11 @@ from oracles import beta_as_coefficient_sum, coprime_pairs, hull_chain_rays
 from test_formats import FAN_74
 
 
+def betas(obj):
+    """The cone angle parameters of a chain or fan: each ray's num over r."""
+    return tuple([Fraction(ray.num, obj.parent.quotient.r) for ray in obj.rays])
+
+
 def fold_continued_fraction(digits):
     value = Fraction(digits[-1])
     for b in reversed(digits[:-1]):
@@ -56,14 +61,14 @@ def test_hj_resolution_worked_example():
     chain = hj_resolution(CyclicQuotient(7, (3,)))
     assert [ray.w for ray in chain.rays] == [(1, 1), (3, 2), (5, 3)]
     assert chain.self_intersections == (3, 2, 2)
-    assert chain.betas == (Fraction(4, 7), Fraction(5, 7), Fraction(6, 7))
-    assert [ray.beta - 1 for ray in chain.rays] == [
+    assert betas(chain) == (Fraction(4, 7), Fraction(5, 7), Fraction(6, 7))
+    assert [beta - 1 for beta in betas(chain)] == [
         Fraction(-3, 7),
         Fraction(-2, 7),
         Fraction(-1, 7),
     ]
     # beta strictly increasing along this particular chain
-    assert list(chain.betas) == sorted(chain.betas)
+    assert list(betas(chain)) == sorted(betas(chain))
 
 
 def test_hj_resolution_calabi_series():
@@ -71,14 +76,14 @@ def test_hj_resolution_calabi_series():
         chain = hj_resolution(CyclicQuotient(r, (1,)))
         assert [ray.w for ray in chain.rays] == [(1, 1)]
         assert chain.self_intersections == (r,)
-        assert chain.betas == (Fraction(2, r),)
+        assert betas(chain) == (Fraction(2, r),)
 
 
 def test_hj_resolution_crepant_series():
     chain = hj_resolution(CyclicQuotient(5, (4,)))
     assert [ray.w for ray in chain.rays] == [(1, 1), (2, 1), (3, 1), (4, 1)]
     assert chain.self_intersections == (2, 2, 2, 2)
-    assert chain.betas == (Fraction(1),) * 4
+    assert betas(chain) == (Fraction(1),) * 4
 
 
 def test_hj_resolution_checks_the_last_recurrence(monkeypatch):
@@ -107,7 +112,7 @@ def test_hj_recurrence_and_unimodularity_sweep():
             assert boundary[j - 1][1] + boundary[j + 1][1] == b * boundary[j][1]
         for p, w in zip(boundary, boundary[1:]):
             assert abs(det([p, w])) == 1
-        assert all(0 < beta <= 1 for beta in chain.betas)
+        assert all(0 < beta <= 1 for beta in betas(chain))
 
 
 def test_hj_rays_match_hull_oracle_small():
@@ -121,7 +126,7 @@ def test_beta_as_coefficient_sum_agrees_with_pairing():
         q = CyclicQuotient(r, (a,))
         data = singularity_data(q)
         for ray in hj_resolution(q).rays:
-            assert beta_as_coefficient_sum(ray.w, data.sigma.generators) == ray.beta
+            assert beta_as_coefficient_sum(ray.w, data.sigma.generators) == Fraction(ray.num, r)
 
 
 def test_beta_as_coefficient_sum_examples():
@@ -142,7 +147,7 @@ def test_beta_as_coefficient_sum_rejects_boundary():
 def test_three_dim_family_worked_example():
     fan = three_dim_family(7, 4)
     assert [ray.w for ray in fan.rays] == [(1, 1, 1), (2, 2, 1)]
-    assert [ray.beta for ray in fan.rays] == [Fraction(6, 7), Fraction(5, 7)]
+    assert list(betas(fan)) == [Fraction(6, 7), Fraction(5, 7)]
     assert len(fan.cones) == 5
     assert all(abs(cone.determinant) == 1 for cone in fan.cones)
     # the intermediate cone <v, e2, w1> of the first subdivision step has index a
@@ -152,7 +157,7 @@ def test_three_dim_family_worked_example():
 
 def test_three_dim_family_second_example():
     fan = three_dim_family(11, 3)
-    assert [ray.beta for ray in fan.rays] == [Fraction(5, 11), Fraction(9, 11)]
+    assert list(betas(fan)) == [Fraction(5, 11), Fraction(9, 11)]
     assert all(abs(cone.determinant) == 1 for cone in fan.cones)
 
 
@@ -168,7 +173,7 @@ def test_three_dim_family_scan():
             assert angle_condition(fan).theorem_applies
             # pairing and coefficient-sum routes agree on every ray
             for ray in fan.rays:
-                assert beta_as_coefficient_sum(ray.w, fan.parent.sigma.generators) == ray.beta
+                assert beta_as_coefficient_sum(ray.w, fan.parent.sigma.generators) == Fraction(ray.num, r)
             produced += 1
     assert produced > 20
 
@@ -190,12 +195,12 @@ def test_angle_condition_classifications():
     assert crepant.acceptable
     third_chain = hj_resolution(CyclicQuotient(3, (1,)))
     third = angle_condition(third_chain)
-    assert third.theorem_applies and third_chain.rays[0].beta == Fraction(2, 3)
+    assert third.theorem_applies and betas(third_chain)[0] == Fraction(2, 3)
     # the ray (1, 2) lies outside sigma and pairs to 11/7 with gamma = (-3/7, 1)
     data = singularity_data(CyclicQuotient(7, (3,)))
     outside = FanSubdivision(data, [LatticeCone(((0, 1), (1, 2))), LatticeCone(((1, 2), (7, 4)))])
     positive = angle_condition(outside)
-    assert outside.rays[0].beta == Fraction(11, 7)
+    assert betas(outside)[0] == Fraction(11, 7)
     assert positive.status == "positive-discrepancy"
     assert not positive.acceptable
 
@@ -204,7 +209,7 @@ def test_validate_subdivision_trivial_fan():
     data = singularity_data(CyclicQuotient(7, (3,)))
     fan = FanSubdivision(data, [data.sigma])
     report = validate_subdivision(fan)
-    assert report.covering_ok and report.covering_sum == 7
+    assert report.covering_ok and Fraction(*report.covering_sum) == 7
     assert not report.all_unimodular
     assert report.cone_determinants == (7,)
     assert not report.overall
@@ -214,7 +219,7 @@ def test_validate_subdivision_partial_fan():
     data = singularity_data(CyclicQuotient(7, (3,)))
     cones = [LatticeCone(((0, 1), (1, 1))), LatticeCone(((1, 1), (7, 4)))]
     report = validate_subdivision(FanSubdivision(data, cones))
-    assert report.covering_ok and report.covering_sum == 7
+    assert report.covering_ok and Fraction(*report.covering_sum) == 7
     assert report.cone_determinants == (1, 3)
     assert not report.all_unimodular
     assert not report.overall
@@ -225,7 +230,7 @@ def test_validate_subdivision_full_chain_fan():
         fan = chain_fan(hj_resolution(CyclicQuotient(r, (a,))))
         report = validate_subdivision(fan)
         assert report.overall
-        assert report.covering_sum == r
+        assert Fraction(*report.covering_sum) == r
         assert report.all_unimodular
 
 
@@ -270,7 +275,7 @@ def test_fan_rays_are_the_cones_new_generators_in_order():
     fan = FanSubdivision(data, cones[::-1])
     assert [ray.w for ray in fan.rays] == [(2, 2, 1), (1, 1, 1)]
     for ray in fan.rays:
-        assert (ray.num, ray.den) == (sum(x * y for x, y in zip(ray.w, data.r_gamma)), 7)
+        assert (ray.num, data.quotient.r) == (sum(x * y for x, y in zip(ray.w, data.r_gamma)), 7)
 
 
 def test_fan_of_sigma_alone_has_no_rays():

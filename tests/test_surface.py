@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from alequot.cli import resolve2d_report
 from alequot.quotient import CyclicQuotient
 from alequot.resolution import ExceptionalRay, hj_resolution, three_dim_family
 from alequot.surface import (
@@ -25,7 +26,19 @@ def matrix_for(r, a):
 
 
 def inverse(m):
-    return [m.inverse_row(i) for i in range(m.size)]
+    return [[Fraction(x, m.determinant()) for x in m.adjugate_row(i)] for i in range(m.size)]
+
+
+def betas(chain):
+    return tuple([Fraction(ray.num, chain.quotient.r) for ray in chain.rays])
+
+
+def energy_total(chain):
+    return Fraction(energy(chain).total_num, chain.quotient.r ** 2)
+
+
+def products(report, r):
+    return {check.indices: Fraction(check.num, r ** len(check.indices)) for check in report.strata}
 
 
 def test_intersection_matrix_entries():
@@ -76,8 +89,6 @@ def test_rows_outside_the_matrix_are_rejected():
     for i in (-1, m.size):
         with pytest.raises(ValueError):
             m.adjugate_row(i)
-        with pytest.raises(ValueError):
-            m.inverse_row(i)
 
 
 def test_fast_sign_check_agrees_with_inverse():
@@ -117,11 +128,11 @@ def test_negative_definite_and_inverse_sweep():
 
 def test_adjunction_worked_rows():
     chain = chain_for(7, 3)
-    betas = chain.betas
+    b = betas(chain)
     # row 1: (4/7-1)(-3) + (5/7-1)(1) = 1 = b_1 - 2
-    assert (betas[0] - 1) * -3 + (betas[1] - 1) == 1
+    assert (b[0] - 1) * -3 + (b[1] - 1) == 1
     # row 2: (4/7-1) + (5/7-1)(-2) + (6/7-1) = 0 = b_2 - 2
-    assert (betas[0] - 1) + (betas[1] - 1) * -2 + (betas[2] - 1) == 0
+    assert (b[0] - 1) + (b[1] - 1) * -2 + (b[2] - 1) == 0
     assert adjunction_check(chain)
 
 
@@ -133,10 +144,9 @@ def test_adjunction_sweep():
 def test_adjunction_fails_under_beta_mutation():
     chain = chain_for(7, 3)
     for idx in range(3):
-        for eps in (Fraction(1, 1000), Fraction(-1, 997)):
+        for eps in (1, -1, 7, -7):   # beta moves by 1/r and by 1
             rays = list(chain.rays)
-            beta = rays[idx].beta + eps
-            rays[idx] = ExceptionalRay(rays[idx].w, beta.numerator, beta.denominator)
+            rays[idx] = ExceptionalRay(rays[idx].w, rays[idx].num + eps)
             mutated = type(chain)(
                 parent=chain.parent,
                 rays=tuple(rays),
@@ -146,26 +156,31 @@ def test_adjunction_fails_under_beta_mutation():
 
 
 def test_energy_frozen_values():
-    assert energy(chain_for(2, 1)).total == Fraction(3, 2)
-    assert energy(chain_for(7, 3)).total == Fraction(113, 49)
-    assert energy(chain_for(5, 4)).total == Fraction(24, 5)
+    assert energy_total(chain_for(2, 1)) == Fraction(3, 2)
+    assert energy_total(chain_for(7, 3)) == Fraction(113, 49)
+    assert energy_total(chain_for(5, 4)) == Fraction(24, 5)
 
 
 def test_energy_crepant_series():
     for r in range(2, 30):
-        breakdown = energy(chain_for(r, r - 1))
-        assert breakdown.total == r - Fraction(1, r)
-        assert all(term == 0 for term in breakdown.curve_terms)
-        assert all(term == 0 for term in breakdown.node_terms)
+        chain = chain_for(r, r - 1)
+        breakdown = energy(chain)
+        assert energy_total(chain) == r - Fraction(1, r)
+        assert all(Fraction(x, r) == 0 for x in breakdown.curve_nums)
+        assert all(Fraction(x, r * r) == 0 for x in breakdown.node_nums)
 
 
 def test_energy_breakdown_structure():
-    bk = energy(chain_for(7, 3))
+    chain = chain_for(7, 3)
+    bk = energy(chain)
+    curve_terms = tuple([Fraction(x, 7) for x in bk.curve_nums])
+    node_terms = tuple([Fraction(x, 49) for x in bk.node_nums])
+    group_term = Fraction(-1, 7)   # -1/r, printed as the report's group_term
     assert bk.chi_x == 4
-    assert bk.curve_terms == (Fraction(-3, 7), Fraction(0), Fraction(-1, 7))
-    assert bk.node_terms == (Fraction(20, 49) - 1, Fraction(30, 49) - 1)
-    assert bk.group_term == Fraction(-1, 7)
-    assert bk.total == bk.chi_x + sum(bk.curve_terms) + sum(bk.node_terms) + bk.group_term
+    assert curve_terms == (Fraction(-3, 7), Fraction(0), Fraction(-1, 7))
+    assert node_terms == (Fraction(20, 49) - 1, Fraction(30, 49) - 1)
+    assert resolve2d_report(7, 3)[0]["energy"]["group_term"] == str(group_term)
+    assert energy_total(chain) == bk.chi_x + sum(curve_terms) + sum(node_terms) + group_term
     assert bk.conditional
     assert not energy(chain_for(2, 1)).conditional
 
@@ -178,39 +193,37 @@ def test_energy_invariant_under_chain_reversal():
             rays=tuple(reversed(chain.rays)),
             self_intersections=tuple(reversed(chain.self_intersections)),
         )
-        assert energy(chain).total == energy(reversed_chain).total
+        assert energy_total(chain) == energy_total(reversed_chain)
 
 
 def test_volume_density_inequality_chain():
     chain = chain_for(7, 3)
-    nu = chain.parent.volume_density
-    report = volume_density_inequality(chain.rays, chain_strata(3), nu)
+    report = volume_density_inequality(chain.rays, chain_strata(3), chain.quotient.r)
     assert report.overall
-    products = {check.indices: check.product for check in report.strata}
-    assert products[(0,)] == Fraction(4, 7)
-    assert products[(0, 1)] == Fraction(20, 49)
-    assert products[(1, 2)] == Fraction(30, 49)
+    product = products(report, 7)
+    assert product[(0,)] == Fraction(4, 7)
+    assert product[(0, 1)] == Fraction(20, 49)
+    assert product[(1, 2)] == Fraction(30, 49)
 
 
 def test_volume_density_inequality_calabi_series():
     for r in range(2, 40):
         chain = chain_for(r, 1)
-        report = volume_density_inequality(chain.rays, chain_strata(1), Fraction(1, r))
+        report = volume_density_inequality(chain.rays, chain_strata(1), r)
         assert report.overall
-        assert report.strata[0].product == Fraction(2, r)
+        assert products(report, r)[(0,)] == Fraction(2, r)
 
 
 def test_volume_density_inequality_family():
     fan = three_dim_family(7, 4)
-    report = volume_density_inequality(fan.rays, family_strata(), Fraction(1, 7))
+    report = volume_density_inequality(fan.rays, family_strata(), 7)
     assert report.overall
-    products = {check.indices: check.product for check in report.strata}
-    assert products[(0, 1)] == Fraction(30, 49)
+    assert products(report, 7)[(0, 1)] == Fraction(30, 49)
 
 
 def test_volume_density_inequality_can_fail():
-    rays = (ExceptionalRay((1, 1), 1, 9),)
-    report = volume_density_inequality(rays, [(0,)], Fraction(1, 7))
+    rays = (ExceptionalRay((1, 1), 1),)   # beta = 1/7 = nu: equal, so not strict
+    report = volume_density_inequality(rays, [(0,)], 7)
     assert not report.overall
     assert not report.strata[0].strict
 
@@ -218,7 +231,5 @@ def test_volume_density_inequality_can_fail():
 def test_volume_density_sweep():
     for r, a in coprime_pairs(100):
         chain = chain_for(r, a)
-        report = volume_density_inequality(
-            chain.rays, chain_strata(len(chain.rays)), Fraction(1, r)
-        )
+        report = volume_density_inequality(chain.rays, chain_strata(len(chain.rays)), r)
         assert report.overall
