@@ -171,6 +171,9 @@ class PathConfig:
         if max(math.log(self.calabi_c), 0.0) - self.n * math.log(grid.s_min) > math.log(sys.float_info.max):
             raise _Rejected(f"C s_min^-n = {self.calabi_c} * {grid.s_min}^-{self.n} overflows a float",
                             "n", "calabi_c", "s_min")
+        # n K(s0 + w), the bump's share of C + n K, integrates tau^(n-1) up to (s0 + w)^n
+        if self.n * math.log(self.s0 + self.w) > math.log(sys.float_info.max):
+            raise _Rejected(f"(s0 + w)^n = {self.s0 + self.w}^{self.n} overflows a float", "n", "s0", "w")
 
 
 def bump_values(config: PathConfig, s) -> np.ndarray:

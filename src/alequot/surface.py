@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .resolution import ChainResolution, ExceptionalRay
 
@@ -137,8 +138,7 @@ def energy(chain: ChainResolution) -> EnergyBreakdown:
     return EnergyBreakdown(k + 1, curve_nums, node_nums, total_num, conditional=k > 1)
 
 
-@dataclass(frozen=True)
-class StratumCheck:
+class StratumCheck(NamedTuple):
     indices: tuple[int, ...]         # 0-based ray indices of the stratum S
     num: int                         # num / r^|S| is the product of beta over S
     strict: bool                     # product > nu = 1/r strictly
@@ -168,10 +168,11 @@ def volume_density_inequality(
     """Check the Bishop-Gromov consequence: on every nonempty intersection S
     of exceptional divisors the product of the beta exceeds the volume
     density 1/r of the cone at infinity, strictly: num * r > r^|S|."""
+    nums = [ray.num for ray in rays]
     checks = []
     for stratum in strata:
         num = 1
         for idx in stratum:
-            num *= rays[idx].num
-        checks.append(StratumCheck(indices=tuple(stratum), num=num, strict=num * r > r ** len(stratum)))
+            num *= nums[idx]
+        checks.append(StratumCheck(tuple(stratum), num, num * r > r ** len(stratum)))
     return StrataReport(strata=tuple(checks), overall=all(c.strict for c in checks))

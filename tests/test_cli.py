@@ -498,6 +498,18 @@ def test_radial_background_overflow_is_rejected_at_a_line(old, new, product, tmp
     assert (captured.out, captured.err) == ("", f"error: line 3: C s_min^-n = {product} overflows a float\n")
 
 
+def test_radial_bump_integral_overflow_is_rejected_at_a_line(tmp_path, capsys):
+    # n K(s0 + w) integrates tau^(n-1) up to 102^200: checked in logarithms, so numpy never warns
+    run = tmp_path / "run.txt"
+    run.write_text("n = 200\nC = 1.0\ns0 = 100\nw = 2\nc = -0.25\ns_min = 1\nnodes = 64\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["radial", str(run), "--json", "-"]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: line 4: (s0 + w)^n = 102.0^200 overflows a float\n")
+
+
 @pytest.mark.parametrize("command, text, line, byte", [
     ("check-subdivision", FAN_74.replace("0 1 0 | 1 1 1\n", "0 1 0 | 1 1 1  # \xff\n"), 6, "0xff"),
     ("radial", RUN_SMALL.replace("s0 = 5.0", "s0 = 5.0\n# caf\xe9"), 5, "0xe9"),
@@ -626,6 +638,50 @@ def test_writer_matches_json_dumps_on_reports(tmp_path, monkeypatch):
 def test_writer_rejects_what_json_cannot_hold(value):
     with pytest.raises(TypeError):
         cli._dumps(value)
+
+
+def _strata_rows(*rows):
+    return cli._StrataRows({"rays": list(rays), "product": product, "strict": strict}
+                           for rays, product, strict in rows)
+
+
+STRATA_ROWS = _strata_rows(((), "1", True), ((0,), "5/7", True), ((0, 1), "4/49", False),
+                           ((2, 0, 11), "-3/343", True))
+
+# past the flat-list join threshold, with an item the join must not take, and
+# the strata row template at depth 0 and nested three levels deep
+WRITER_LONG_CASES = [
+    [True] * 6, [1, 2, 3, 4, True, 5], [_Colour.RED] * 6, [_Text("a")] * 6, ["a"] * 5 + [1],
+    ["a", "b", "c", "d", "\u00e9"], list(range(-2, 9)), [None] * 5, [1.5] * 5,
+    cli._StrataRows(), STRATA_ROWS, _strata_rows(((0,), "1/2", False)),
+    {"a": {"b": {"c": STRATA_ROWS}}}, [[[STRATA_ROWS, cli._StrataRows()]]],
+]
+
+
+def _case_id(value):
+    return f"_StrataRows({list.__repr__(value)})" if type(value) is cli._StrataRows else repr(value)
+
+
+@pytest.mark.parametrize("value", WRITER_LONG_CASES, ids=_case_id)
+def test_writer_matches_json_dumps_past_the_join_and_the_template(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("build, strata", [(lambda: resolve2d_report(97, 35), "chain_strata"),
+                                           (lambda: resolve3d_report(7, 4), "family_strata")],
+                         ids=["resolve2d", "resolve3d"])
+def test_strata_layer_is_called_once_through_cli_names(build, strata, monkeypatch):
+    # benchmarks/worker.py books these cli names to surface.strata_ms
+    calls = []
+
+    def counting(name):
+        inner = getattr(cli, name)
+        return lambda *args: calls.append(name) or inner(*args)
+
+    for name in ("chain_strata", "family_strata", "volume_density_inequality"):
+        monkeypatch.setattr(cli, name, counting(name))
+    build()
+    assert sorted(calls) == [strata, "volume_density_inequality"]
 
 
 def _unsized_tuple_builds(tree):

@@ -228,6 +228,13 @@ def test_volume_density_inequality_can_fail():
     assert not report.strata[0].strict
 
 
+def test_stratum_checks_are_plain_tuples_with_names():
+    chain = chain_for(7, 3)
+    report = volume_density_inequality(chain.rays, [[0, 1]], 7)   # a list stratum is kept as a tuple
+    assert report.strata == (((0, 1), 20, True),)
+    assert report.strata[0].indices == (0, 1) and report.strata[0].num == 20
+
+
 def test_volume_density_sweep():
     for r, a in coprime_pairs(100):
         chain = chain_for(r, a)
