@@ -47,7 +47,7 @@ _RADIAL_NAMES = (
     "DecayFit", "DecayFitError", "KahlerConeError", "MassReport", "PathConfig", "PathTrace",
     "RadialGrid", "RadialProfile", "SolverFailure", "bump_values", "calabi_profile", "decay_fit",
     "link_volume", "mass_integral", "newton_continuity_solve", "oracle_deviation",
-    "oracle_effective_constant", "quadrature_oracle", "total_fprime",
+    "quadrature_oracle", "total_fprime",
 )
 
 

@@ -37,7 +37,6 @@ picks the steps in t; each attempt warm starts from the last accepted u.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -67,6 +66,16 @@ class _Rejected(ValueError):
     def __init__(self, message: str, *fields: str):
         super().__init__(message)
         self.fields = fields
+
+
+def _closed_form(form, name: str, *fields: str):
+    """form(): a closed form a run depends on, evaluated where it is largest with floating-point
+    overflow, division by zero and invalid operations raised; one rejects the fields it reads."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return form()
+    except (FloatingPointError, OverflowError):  # OverflowError: an integer n too large for a float
+        raise _Rejected(f"{name} overflows a float", *fields) from None
 
 
 @dataclass(frozen=True)
@@ -150,6 +159,7 @@ class PathConfig:
     w: float
     c: float
     r_order: int = 1
+    bump_integral: float = field(init=False, repr=False, compare=False)  # K(s0 + w), see _density_integral
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
@@ -160,29 +170,27 @@ class PathConfig:
             raise _Rejected(f"bump half-width must be positive, got {self.w}", "w")
         if not isinstance(self.r_order, int) or self.r_order < 1:
             raise _Rejected(f"group order must be an integer >= 1, got {self.r_order!r}", "r_order")
+        _closed_form(lambda: np.exp(self.c), f"e^c = e^{self.c}", "c")  # the peak of e^{f0}
+        tail = f"C + n K(s0 + w) at n = {self.n}, C = {self.calabi_c}, s0 = {self.s0}, w = {self.w}, c = {self.c}"
+        k = _closed_form(lambda: _density_integral(self, self.s0 + self.w), tail, "n", "s0", "w", "c")
+        _closed_form(lambda: self.calabi_c + self.n * k, tail, "n", "calabi_c", "s0", "w", "c")
+        object.__setattr__(self, "bump_integral", float(k))
 
     def validate_against(self, grid: RadialGrid) -> None:
         if not (self.s0 - self.w > grid.s_min and self.s0 + self.w < grid.s_max):
-            raise _Rejected(
-                f"bump support [{self.s0 - self.w}, {self.s0 + self.w}] must be interior to "
-                f"[{grid.s_min}, {grid.s_max}]", "s0", "w", "s_min", "s_max"
-            )
-        # the background profile computes s_min^-n, then C s_min^-n: compared in logs, numpy never overflows
-        if max(math.log(self.calabi_c), 0.0) - self.n * math.log(grid.s_min) > math.log(sys.float_info.max):
-            raise _Rejected(f"C s_min^-n = {self.calabi_c} * {grid.s_min}^-{self.n} overflows a float",
-                            "n", "calabi_c", "s_min")
-        # n K(s0 + w), the bump's share of C + n K, integrates tau^(n-1) up to (s0 + w)^n
-        if self.n * math.log(self.s0 + self.w) > math.log(sys.float_info.max):
-            raise _Rejected(f"(s0 + w)^n = {self.s0 + self.w}^{self.n} overflows a float", "n", "s0", "w")
+            raise _Rejected(f"bump support [{self.s0 - self.w}, {self.s0 + self.w}] must be interior to "
+                            f"[{grid.s_min}, {grid.s_max}]", "s0", "w", "s_min", "s_max")
+        # calabi_profile's background C s^-n, at the first node
+        _closed_form(lambda: self.calabi_c * grid.s[:1] ** (-float(self.n)),
+                     f"C s_min^-n = {self.calabi_c} * {grid.s_min}^-{self.n}", "n", "calabi_c", "s_min")
 
 
 def bump_values(config: PathConfig, s) -> np.ndarray:
     """The compactly supported density perturbation f0 at the points s."""
     s = np.asarray(s, dtype=float)
-    z = (s - config.s0) / config.w
-    out = np.zeros_like(z)
-    inside = np.abs(z) < 1.0
-    out[inside] = config.c * (1.0 - z[inside] ** 2) ** 3
+    out = np.zeros_like(s)
+    inside = np.abs(s - config.s0) < config.w  # outside, (s - s0)/w overflows when w is tiny
+    out[inside] = config.c * (1.0 - ((s[inside] - config.s0) / config.w) ** 2) ** 3
     return out
 
 
@@ -244,11 +252,6 @@ def quadrature_oracle(config: PathConfig, grid: RadialGrid) -> RadialProfile:
             f"first integral leaves the Kahler cone at node {i} (s = {grid.s[i]:.6g})"
         )
     return RadialProfile(grid=grid, values=radicand ** (1.0 / n))
-
-
-def oracle_effective_constant(config: PathConfig) -> float:
-    """Tail constant of s^n((f')^n - 1): the class parameter shifted by the bump."""
-    return config.calabi_c + config.n * float(_density_integral(config, config.s0 + config.w))
 
 
 @dataclass
@@ -359,10 +362,7 @@ def newton_continuity_solve(config: PathConfig, grid: RadialGrid):
     jacobian = _jacobian(grid)
     qb = calabi_profile(n, config.calabi_c, grid).values
     swb = s * qb ** (1 - n)  # s * (f'_bg + s f''_bg) via the exact density identity
-    f0 = bump_values(config, s)
-    if np.max(f0) > (limit := math.log(np.finfo(float).max)):  # e^{t f0}, t <= 1, overflows
-        raise SolverFailure(f"bump overflows: max f0 = {np.max(f0):.6g} exceeds log(float max) = "
-                            f"{limit:.6g}, so e^(t f0) is not finite in floating point")
+    f0 = bump_values(config, s)  # e^{t f0} <= e^c, which PathConfig checked is finite
 
     def residual(u, rhs):
         ux = _band_apply(d1, u)
@@ -528,7 +528,7 @@ def mass_integral(config: PathConfig, fprime: RadialProfile) -> MassReport:
     of the solved correction, read from f' = total_fprime(u, config).
 
     Only meaningful for n >= 3 (the normalization carries an n - 2 factor).
-    The radial integral is -K(s0 + w)/2 (s = r^2), by the oracle's Gauss rule.
+    The radial integral is -config.bump_integral/2 (s = r^2).
     The fitted coefficient is the decay_fit of f' - f'_bg (correction_only);
     with no bump (c = 0) it is 0 and f' is not read.  The reported ratio
     fitted/formula is the reproducible quantity; its value absorbs
@@ -538,7 +538,7 @@ def mass_integral(config: PathConfig, fprime: RadialProfile) -> MassReport:
     """
     if config.n < 3:
         raise ValueError("mass normalization degenerates at n = 2; need n >= 3")
-    radial = -0.5 * float(_density_integral(config, config.s0 + config.w))
+    radial = -0.5 * config.bump_integral
     vol = link_volume(config.n, config.r_order)
     formula_a = radial / (config.n - 2)
     if config.c == 0:

@@ -3,13 +3,15 @@
 Each function here recomputes something the library derives by a faster or
 smarter route, using a method with no shared code: exhaustive enumeration,
 permutation expansion, dense rational elimination, a coefficient-sum route
-to cone angles, or a direct finite-difference Monge-Ampere density.  Nothing
+to cone angles, or a direct finite-difference Monge-Ampere density.  It also
+builds seeded samples of extreme run files for robustness tests.  Nothing
 here imports alequot, and numpy is imported inside the one function that
 needs it, so importing this module stays standard-library only.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
@@ -198,3 +200,23 @@ def coprime_pairs(r_max: int):
         for a in range(1, r):
             if gcd(a, r) == 1:
                 yield r, a
+
+
+# Extreme values for each run-file key (r is left at its default): the space a
+# run file's floats reach the solver's closed forms from.
+RUN_FILE_EXTREMES = (
+    ("n", (2, 3, 4, 5, 8, 20, 60, 150)),
+    ("C", (1e-300, 1e-30, 1.0, 1e30, 1e300)),
+    ("s0", (0.1, 5.0, 1e3, 1e100, 1e299)),
+    ("w", (1e-300, 1e-10, 0.05, 2.0, 1e99)),
+    ("c", (1e3, -1e3, 40.0, -40.0, 0.25, -0.25, 700.0)),
+    ("s_min", (1e-300, 1e-100, 1e-8, 1e-2, 0.5)),
+    ("s_max", (2.0, 1e4, 1e30, 1e150, 1e300)),
+    ("nodes", (8, 9, 16, 64, 257)),
+)
+
+
+def extreme_run_files(count: int, seed: int = 2026) -> list[str]:
+    """`count` run files, each key's value drawn uniformly from RUN_FILE_EXTREMES by random.Random(seed)."""
+    rng = random.Random(seed)
+    return ["".join(f"{key} = {rng.choice(values)}\n" for key, values in RUN_FILE_EXTREMES) for _ in range(count)]

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -24,6 +25,7 @@ from alequot.cli import (
     sweep2d_report,
 )
 from alequot.radial import KahlerConeError
+from oracles import extreme_run_files
 from test_formats import FAN_74, readme_run_file
 
 RUN_SMALL = "n = 3\nr = 7\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = -0.25\nnodes = 512\n"
@@ -78,6 +80,14 @@ def test_check_subdivision_unsubdivided_sigma():
     verdicts = certificate_verdicts(report)
     assert verdicts["unimodularity"] == "fail"
     assert verdicts["covering"] == "pass"
+
+
+def test_check_subdivision_ray_with_zero_beta_is_non_klt():
+    # beta = 0 at (7, 3) sits on the klt boundary: _classify's num <= 0, not num < 0
+    report, code = check_subdivision_report("dim 2\nquotient 7 3\ncone 7 4 | 7 3\ncone 7 3 | 0 1\n")
+    assert code == 1
+    angle = report["certificates"]["angle_condition"]
+    assert (angle["verdict"], angle["per_ray"], angle["beta"]) == ("fail", ["non-klt"], ["0"])
 
 
 def test_check_subdivision_exterior_ray():
@@ -457,20 +467,16 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 
 
-@pytest.mark.parametrize("c, code", [("nan", 2), ("inf", 2), ("1e308", 3)])
+@pytest.mark.parametrize("c, code", [("nan", 2), ("inf", 2), ("1e308", 2)])
 def test_radial_non_finite_or_overflowing_value_is_a_clean_error(c, code, tmp_path, capsys):
-    # nan and inf are rejected at their line; 1e308 is finite but e^{t f0}
-    # overflows, which the solver names before its first Newton step
+    # nan and inf are rejected at their line; 1e308 is finite, but e^c, the
+    # peak of e^{f0}, overflows, and PathConfig rejects it at the same line
     run = tmp_path / "run.txt"
     run.write_text(f"n = 3\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = {c}\nnodes = 256\n")
     assert main(["radial", str(run), "--json", "-"]) == code
     captured = capsys.readouterr()
-    assert "Traceback" not in captured.err
-    if code == 2:
-        assert captured.err == f"error: line 5: c must be finite, got '{c}'\n"
-    else:
-        report = json.loads(captured.out, parse_constant=_reject_constant)
-        assert report["solver"]["error"].startswith("bump overflows: max f0 = ")
+    reason = "e^c = e^1e+308 overflows a float" if c == "1e308" else f"c must be finite, got '{c}'"
+    assert (captured.out, captured.err) == ("", f"error: line 5: {reason}\n")
 
 
 def test_radial_node_count_too_large_to_hold_is_a_clean_error(tmp_path, capsys):
@@ -488,7 +494,7 @@ def test_radial_node_count_too_large_to_hold_is_a_clean_error(tmp_path, capsys):
     ("C = 1.0", "C = 1e308", "1e+308 * 0.01^-3"),
 ], ids=["n-200", "C-1e308"])
 def test_radial_background_overflow_is_rejected_at_a_line(old, new, product, tmp_path, capsys):
-    # C s_min^-n is checked in logarithms before numpy evaluates it, so nothing warns
+    # C s_min^-n is evaluated at the first node with floating-point errors raised, so nothing warns
     run = tmp_path / "run.txt"
     run.write_text(RUN_SMALL.replace(old, new))
     with warnings.catch_warnings():
@@ -499,7 +505,7 @@ def test_radial_background_overflow_is_rejected_at_a_line(old, new, product, tmp
 
 
 def test_radial_bump_integral_overflow_is_rejected_at_a_line(tmp_path, capsys):
-    # n K(s0 + w) integrates tau^(n-1) up to 102^200: checked in logarithms, so numpy never warns
+    # K(s0 + w) integrates tau^(n-1) up to 102^200; K reads n, s0, w and c, so the error names c's line 5
     run = tmp_path / "run.txt"
     run.write_text("n = 200\nC = 1.0\ns0 = 100\nw = 2\nc = -0.25\ns_min = 1\nnodes = 64\n")
     with warnings.catch_warnings(record=True) as caught:
@@ -507,7 +513,46 @@ def test_radial_bump_integral_overflow_is_rejected_at_a_line(tmp_path, capsys):
         assert main(["radial", str(run), "--json", "-"]) == 2
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: line 4: (s0 + w)^n = 102.0^200 overflows a float\n")
+    assert (captured.out, captured.err) == (
+        "", "error: line 5: C + n K(s0 + w) at n = 200, C = 1.0, s0 = 100.0, w = 2.0, c = -0.25 overflows a float\n")
+
+
+def _radial_strict(text, path, capsys):
+    """Exit code, stdout and stderr of `radial` on the run file, with every warning an error."""
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["radial", str(path), "--json", "-"])
+    return (code, *capsys.readouterr())
+
+
+def _ends_cleanly(code, out, err):
+    """Exit 2 with `error: line N: ...` alone, or exit 0, 1 or 3 with a report and nothing on stderr."""
+    if code == 2:
+        return not out and re.fullmatch(r"error: line \d+: [^\n]+\n", err) is not None
+    return code in (0, 1, 3) and not err and "solver" in json.loads(out, parse_constant=_reject_constant)
+
+
+# Run files that once warned or exited 2 without a line: at w = 1e-300, (s - s0)/w overflowed;
+# tau^(n-1) e^{f0} overflowed with both factors finite; c > log(float max) on a bump no node samples.
+@pytest.mark.parametrize("text, code, err", [
+    ("n = 4\nC = 1e-300\ns0 = 1000\nw = 1e-300\nc = -0.25\ns_min = 1e-8\ns_max = 1e300\nnodes = 16\n", 1, ""),
+    ("n = 150\nC = 1e-300\ns0 = 5\nw = 2\nc = 700\ns_min = 0.01\ns_max = 1e30\nnodes = 64\n", 2,
+     "error: line 5: C + n K(s0 + w) at n = 150, C = 1e-300, s0 = 5.0, w = 2.0, c = 700.0 overflows a float\n"),
+    ("n = 2\nC = 1\ns0 = 1000\nw = 0.05\nc = 1000\ns_min = 0.01\ns_max = 1e300\nnodes = 16\n", 2,
+     "error: line 5: e^c = e^1000.0 overflows a float\n"),
+], ids=["tiny-w", "integrand-product", "unsampled-peak"])
+def test_radial_extreme_example_ends_cleanly(text, code, err, tmp_path, capsys):
+    result = _radial_strict(text, tmp_path / "run.txt", capsys)
+    assert _ends_cleanly(*result)
+    assert (result[0], result[2]) == (code, err)
+
+
+def test_radial_extreme_run_files_end_cleanly(tmp_path, capsys):
+    # every closed form a run file reaches is evaluated under one raising errstate
+    path = tmp_path / "run.txt"
+    failures = [text for text in extreme_run_files(1000) if not _ends_cleanly(*_radial_strict(text, path, capsys))]
+    assert not failures, f"{len(failures)} of 1000 run files: {failures[:3]}"
 
 
 @pytest.mark.parametrize("command, text, line, byte", [
@@ -728,15 +773,14 @@ PUBLIC_API = {
     "adjunction_check", "angle_condition", "bump_values", "calabi_profile", "chain_fan",
     "chain_strata", "contains_in_interior", "decay_fit", "det", "energy", "family_strata",
     "hj_continued_fraction", "hj_resolution", "link_volume", "mass_integral",
-    "newton_continuity_solve", "oracle_deviation", "oracle_effective_constant",
-    "quadrature_oracle", "singularity_data", "three_dim_family", "total_fprime",
+    "newton_continuity_solve", "oracle_deviation", "quadrature_oracle", "singularity_data", "three_dim_family", "total_fprime",
     "unit_vector", "validate_subdivision", "volume_density_inequality",
 }
 
 
 def test_public_api():
     # growing or shrinking the flat API must be a deliberate edit of this set
-    assert len(PUBLIC_API) == 45
+    assert len(PUBLIC_API) == 44
     assert len(alequot.__all__) == len(set(alequot.__all__))
     assert set(alequot.__all__) == PUBLIC_API
     assert all(hasattr(alequot, name) for name in alequot.__all__)

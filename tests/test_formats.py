@@ -107,6 +107,9 @@ def test_parse_run_file():
         ("n = 3\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = 0.0\ns_min = 4.0\nnodes = 256\n", 6),   # bump not interior
         ("n = 3\ns_min = 20000\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = 0.0\n", 2),   # above the default s_max
         ("n = 3\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = 0.0\ns_min = 1e-200\n", 6),   # C s_min^-n overflows
+        (f"n = {10**400}\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = 0.0\n", 5),   # n K(s0 + w): n is no float
+        # K(s0 + w) = 5.03e307 and C s_min^-n are finite, C + n K is not: the check reads C (line 7) too
+        ("n = 2\ns0 = 1e155\nw = 2e153\nc = 0.25\ns_min = 2\ns_max = 1e300\nC = 1e308\n", 7),
         # a check of several keys names the last line among them: s_min, then s0 and w
         ("s_min = 4.0\nn = 3\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = 0.0\n", 5),
     ],

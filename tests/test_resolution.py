@@ -185,6 +185,8 @@ def test_three_dim_family_rejects_bad_parameters():
         three_dim_family(7, 2)
     with pytest.raises(ValueError, match="r > a \\+ 2"):
         three_dim_family(5, 4)
+    with pytest.raises(ValueError, match="r > a \\+ 2"):
+        three_dim_family(5, 3)            # r = a + 2: beta_1 = 1, crepant
 
 
 def test_angle_condition_classifications():
