@@ -9,7 +9,6 @@ from types import ModuleType as _ModuleType
 from .lattice import (
     LatticeCone,
     contains_in_interior,
-    det,
     unit_vector,
 )
 from .quotient import (
@@ -24,8 +23,6 @@ from .resolution import (
     FanSubdivision,
     SubdivisionReport,
     angle_condition,
-    chain_fan,
-    hj_continued_fraction,
     hj_resolution,
     three_dim_family,
     validate_subdivision,

@@ -20,7 +20,6 @@ Exit codes, one meaning each:
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from math import gcd
@@ -238,6 +237,7 @@ def check_subdivision_report(text: str) -> tuple[dict, int]:
 
 
 ORACLE_CERT_TOL = 1e-6
+DECAY_EXPONENT_TOL = 0.01  # relative to the known tail exponent 1 - n
 
 
 def radial_report(text: str) -> tuple[dict, int]:
@@ -290,7 +290,9 @@ def radial_report(text: str) -> tuple[dict, int]:
             "residual": real_str(fit.residual),
             "npoints": fit.npoints,
         }
-        certificates["decay_fit"] = {"verdict": PASS}
+        rel_err = abs(fit.exponent - (1 - config.n)) / (config.n - 1)  # a NaN fails too
+        certificates["decay_fit"] = {"verdict": PASS} if rel_err <= DECAY_EXPONENT_TOL else {
+            "verdict": FAIL, "error": f"exponent off 1 - n = {1 - config.n} by relative {real_str(rel_err)}"}
     except DecayFitError as exc:
         decay_entry = {"error": str(exc)}
         certificates["decay_fit"] = {"verdict": FAIL, "error": str(exc)}
@@ -489,7 +491,6 @@ COMMANDS = {
 }
 
 
-@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     import argparse  # only help, usage errors and unusual spellings need it
     parser = argparse.ArgumentParser(prog="alequot", description=__doc__.splitlines()[0])

@@ -2,6 +2,10 @@
 
 Vectors are plain tuples of Python ints (arbitrary precision).  Everything
 here is exact integer arithmetic, no floating point.
+
+An input is checked once, where it enters: `LatticeCone` checks its generators
+and keeps the determinant of its independence check, and `contains_in_interior`
+checks its vector; a value derived from checked ones is not checked again.
 """
 
 from __future__ import annotations
@@ -24,29 +28,6 @@ def _check_int_vec(v, what="vector"):
 def unit_vector(i: int, dim: int) -> IntVec:
     """Standard basis vector e_i (0-indexed)."""
     return tuple([1 if j == i else 0 for j in range(dim)])
-
-
-def is_primitive(v: IntVec) -> bool:
-    """True iff the entries of v have gcd 1.  Rejects the zero vector."""
-    _check_int_vec(v)
-    g = gcd(*v)
-    if g == 0:
-        raise ValueError("zero vector has no primitive representative")
-    return g == 1
-
-
-def det(vectors: list[IntVec] | tuple[IntVec, ...]) -> int:
-    """Exact determinant of a square integer matrix, every row checked; a
-    LatticeCone keeps its generators' determinant from construction."""
-    rows = list(vectors)
-    n = len(rows)
-    if n == 0:
-        raise ValueError("need at least one vector")
-    for v in rows:
-        _check_int_vec(v)
-        if len(v) != n:
-            raise ValueError(f"need {n} vectors of dimension {n}, got dimension {len(v)}")
-    return _bareiss(rows)
 
 
 def _bareiss(rows) -> int:
@@ -93,7 +74,7 @@ class LatticeCone:
             _check_int_vec(g, "generator")
             if len(g) != dim:
                 raise ValueError("generators must share one dimension")
-            if gcd(*g) != 1:  # the entries are checked above; is_primitive would check them again
+            if gcd(*g) != 1:
                 raise ValueError(f"generator {g} is not primitive" if any(g) else
                                  "zero vector has no primitive representative")
         object.__setattr__(self, "determinant", _bareiss(gens))

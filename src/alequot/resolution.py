@@ -25,6 +25,11 @@ count suffices alone: an overlap can cancel a gap of equal weighted volume,
 and a cone added twice keeps the face count.  (The unweighted determinant sum
 is not conserved under subdivision.)  A ray on the boundary of sigma fails
 the face count and interiority.
+
+An input is checked once, where it enters (`CyclicQuotient`, `LatticeCone`, the
+public builders); a derived value carries its proof as a comment and is not
+checked again.  So a ray is primitive by construction: a fan's rays are
+gcd-checked cone generators, and consecutive chain rays have determinant -1.
 """
 
 from __future__ import annotations
@@ -32,25 +37,20 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import lcm, prod
+from typing import NamedTuple
 
-from .lattice import IntVec, LatticeCone, contains_in_interior, is_primitive, pairing, unit_vector
+from .lattice import IntVec, LatticeCone, contains_in_interior, pairing, unit_vector
 from .quotient import CyclicQuotient, SingularityData, singularity_data
 
 
-@dataclass(frozen=True)
-class ExceptionalRay:
+class ExceptionalRay(NamedTuple):
     """A primitive interior ray with its cone angle parameter beta = <w, gamma>,
     kept exact as the integer num = <w, r gamma>: beta = num / r, with r the
     order of the quotient whose resolution holds the ray."""
 
     w: IntVec
     num: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", tuple(self.w))
-        if not is_primitive(self.w):
-            raise ValueError(f"ray vector {self.w} is not primitive")
 
 
 @dataclass(frozen=True)
@@ -88,18 +88,14 @@ class FanSubdivision:
         for cone in self.cones:
             if cone.dim != sigma.dim:
                 raise ValueError(f"cone {cone.generators} is not full-dimensional (dim {sigma.dim})")
+        # each ray is a generator of a LatticeCone, which checked that it is primitive
         seen = dict.fromkeys(g for cone in self.cones for g in cone.generators if g not in sigma.generators)
         object.__setattr__(self, "rays", tuple([ExceptionalRay(w, pairing(w, r_gamma)) for w in seen]))
 
 
-def hj_continued_fraction(r: int, a: int) -> list[int]:
-    """Digits b_j >= 2 of the descending continued fraction of r/a."""
-    if not (isinstance(r, int) and isinstance(a, int)):
-        raise ValueError("r and a must be integers")
-    if r < 2 or not (1 <= a <= r - 1):
-        raise ValueError(f"need r >= 2 and 1 <= a <= r-1, got r={r}, a={a}")
-    if gcd(a, r) != 1:
-        raise ValueError(f"gcd({a}, {r}) != 1")
+def _hj_digits(r: int, a: int) -> list[int]:
+    """Digits b_j >= 2 of the descending continued fraction of r/a, for the
+    coprime 1 <= a < r a CyclicQuotient has checked."""
     digits = []
     x, y = r, a
     while y:
@@ -120,7 +116,7 @@ def hj_resolution(q: CyclicQuotient) -> ChainResolution:
         raise ValueError(f"Hirzebruch-Jung resolution needs a surface quotient, got dim {q.dim}")
     r, a = q.r, q.weights[0]
     data = singularity_data(q)
-    digits = hj_continued_fraction(r, a)
+    digits = _hj_digits(r, a)
     v = data.sigma.generators[0]
     e2 = (0, 1)
     chain = [e2, (1, 1)]
@@ -129,7 +125,7 @@ def hj_resolution(q: CyclicQuotient) -> ChainResolution:
         chain.append((b * cur[0] - prev[0], b * cur[1] - prev[1]))
     chain.append(v)
     # given the recurrence, det(w_j, w_{j+1}) = det(w_{j-1}, w_j) = det(e_2, (1, 1))
-    # = -1, so every cone of consecutive rays is unimodular
+    # = -1, so every cone of consecutive rays is unimodular and every ray primitive
     b, (prev, cur, nxt) = digits[-1], chain[-3:]
     if prev[0] + nxt[0] != b * cur[0] or prev[1] + nxt[1] != b * cur[1]:
         raise AssertionError(f"chain recurrence failed at position {len(digits)} for 1/{r}(1,{a})")
@@ -138,16 +134,8 @@ def hj_resolution(q: CyclicQuotient) -> ChainResolution:
         num = pairing(w, data.r_gamma)
         if not (0 < num <= r):
             raise AssertionError(f"cone angle parameter {num}/{r} for ray {w} outside (0, 1]")
-        rays.append(ExceptionalRay(w=w, num=num))
+        rays.append(ExceptionalRay(w, num))
     return ChainResolution(parent=data, rays=tuple(rays), self_intersections=tuple(digits))
-
-
-def chain_fan(chain: ChainResolution) -> FanSubdivision:
-    """The fan of the chain resolution: consecutive boundary rays pair into cones."""
-    v = chain.parent.sigma.generators[0]
-    boundary = [(0, 1)] + [ray.w for ray in chain.rays] + [v]
-    cones = tuple([LatticeCone((p, qq)) for p, qq in zip(boundary, boundary[1:])])
-    return FanSubdivision(parent=chain.parent, cones=cones)
 
 
 def three_dim_family(r: int, a: int) -> FanSubdivision:
@@ -158,15 +146,13 @@ def three_dim_family(r: int, a: int) -> FanSubdivision:
     and w_2 splits that one into three unimodular cones.  The fan derives both
     rays, w_1 first, and must give beta_1 = (2+a)/r and beta_2 = (2(r+1)+a)/(ar).
     """
-    if not (isinstance(r, int) and isinstance(a, int)):
-        raise ValueError("r and a must be integers")
+    q = CyclicQuotient(r=r, weights=(1, a))  # checks r and a; a | r + 1 makes a a unit mod r
     if a < 3:
         raise ValueError(f"family condition failed: need a >= 3, got a = {a}")
     if r <= a + 2:
         raise ValueError(f"family condition failed: need r > a + 2, got r = {r}, a = {a}")
     if (r + 1) % a != 0:
         raise ValueError(f"family condition failed: {a} does not divide r + 1 = {r + 1}")
-    q = CyclicQuotient(r=r, weights=(1, a))
     data = singularity_data(q)
     v = data.sigma.generators[0]
     e2, e3 = unit_vector(1, 3), unit_vector(2, 3)

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import dataclasses
 import enum
 import hashlib
 import io
@@ -24,7 +25,7 @@ from alequot.cli import (
     resolve3d_report,
     sweep2d_report,
 )
-from alequot.radial import KahlerConeError
+from alequot.radial import KahlerConeError, decay_fit
 from oracles import extreme_run_files
 from test_formats import FAN_74, readme_run_file
 
@@ -157,6 +158,21 @@ def test_radial_short_fit_window_is_a_mass_verdict(tmp_path, capsys):
     assert report["certificates"]["decay_fit"]["verdict"] == "fail"
     assert report["mass"]["verdict"] == "fail"
     assert "usable points" in report["mass"]["error"]
+
+
+def test_decay_fit_off_the_known_exponent_fails(tmp_path, monkeypatch, capsys):
+    def off_by_two_percent(fprime, config):
+        return dataclasses.replace(decay_fit(fprime, config), exponent=1.02 * (1 - config.n))
+
+    monkeypatch.setattr(cli, "decay_fit", off_by_two_percent, raising=False)
+    run = tmp_path / "run.txt"
+    run.write_text(RUN_SMALL)
+    assert main(["radial", str(run), "--json", "-"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["decay"]["exponent_s"] == pytest.approx(-2.04)
+    assert report["certificates"]["decay_fit"] == {
+        "verdict": "fail", "error": "exponent off 1 - n = -2 by relative 0.02"}
+    assert report["certificates"]["oracle_agreement"]["verdict"] == "pass"
 
 
 def test_kahler_cone_error_is_a_solver_failure(tmp_path, monkeypatch, capsys):
@@ -296,7 +312,6 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
     capsys.readouterr()
     assert main(argv) == 0
     assert capsys.readouterr().out == first
-    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize("form", ["table", "equals", "empty"])
@@ -359,11 +374,13 @@ def test_table_and_argparse_agree(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)   # "--json -3" writes a file of that name
     table, argparse_only = _edge_argvs(tmp_path)
     table += [argv + ["--json", "-"] for name in sorted(GOLDEN_SHA256) for argv in _golden_corpus(name, tmp_path)]
+    parser = cli.build_parser()   # parse_args leaves a parser unchanged, so one serves every argv
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
     for argv in table + argparse_only:
         parsed = cli._read_table(argv)
         assert (parsed is not None) == (argv in table), argv
         if parsed is not None:
-            args = cli.build_parser().parse_args(argv)
+            args = parser.parse_args(argv)
             values = [getattr(args, arg) for arg in cli.COMMANDS[args.command][2]]
             assert parsed == (args.command, values, args.json), argv
             assert [type(v) for v in parsed[1]] == [type(v) for v in values], argv
@@ -393,9 +410,6 @@ assert not loaded, f"exact commands loaded {loaded}"
 with contextlib.redirect_stderr(io.StringIO()) as err:
     assert main(["resolve2d", "7"]) == 2
 assert err.getvalue().startswith("usage: alequot resolve2d [-h] [--json PATH] r a\\n"), err.getvalue()
-from alequot.cli import build_parser
-assert build_parser() is build_parser()
-
 import alequot
 assert callable(alequot.newton_continuity_solve)
 namespace = {}
@@ -770,9 +784,9 @@ PUBLIC_API = {
     "EnergyBreakdown", "ExceptionalRay", "FanSubdivision", "IntersectionMatrix",
     "KahlerConeError", "LatticeCone", "MassReport", "PathConfig", "PathTrace", "RadialGrid",
     "RadialProfile", "SingularityData", "SolverFailure", "StrataReport", "SubdivisionReport",
-    "adjunction_check", "angle_condition", "bump_values", "calabi_profile", "chain_fan",
-    "chain_strata", "contains_in_interior", "decay_fit", "det", "energy", "family_strata",
-    "hj_continued_fraction", "hj_resolution", "link_volume", "mass_integral",
+    "adjunction_check", "angle_condition", "bump_values", "calabi_profile",
+    "chain_strata", "contains_in_interior", "decay_fit", "energy", "family_strata",
+    "hj_resolution", "link_volume", "mass_integral",
     "newton_continuity_solve", "oracle_deviation", "quadrature_oracle", "singularity_data", "three_dim_family", "total_fprime",
     "unit_vector", "validate_subdivision", "volume_density_inequality",
 }
@@ -780,7 +794,26 @@ PUBLIC_API = {
 
 def test_public_api():
     # growing or shrinking the flat API must be a deliberate edit of this set
-    assert len(PUBLIC_API) == 44
+    assert len(PUBLIC_API) == 41
     assert len(alequot.__all__) == len(set(alequot.__all__))
     assert set(alequot.__all__) == PUBLIC_API
     assert all(hasattr(alequot, name) for name in alequot.__all__)
+
+
+def test_every_public_name_has_a_caller_in_the_library():
+    # a route only the tests call belongs in the tests; a use inside its own def or class does not count
+    used = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        if isinstance(node, ast.Name) and node.id not in defining:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in defining:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), frozenset())
+    assert sorted(set(alequot.__all__) - used) == []

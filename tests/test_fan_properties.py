@@ -14,12 +14,12 @@ from alequot.lattice import LatticeCone
 from alequot.quotient import CyclicQuotient
 from alequot.resolution import (
     FanSubdivision,
-    chain_fan,
     hj_resolution,
     three_dim_family,
     validate_subdivision,
 )
 from oracles import coprime_pairs
+from test_resolution import chain_fan
 
 FAMILY = [(r, a) for r in range(6, 401) for a in range(3, r - 2) if (r + 1) % a == 0]
 CHAINS = list(coprime_pairs(60))

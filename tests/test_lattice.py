@@ -8,11 +8,22 @@ import alequot.lattice as lattice
 from alequot.lattice import (
     LatticeCone,
     contains_in_interior,
-    det,
-    is_primitive,
     unit_vector,
 )
 from oracles import det_by_permutations, lattice_index_by_counting, solve_fraction
+
+
+def det(rows):
+    """The determinant a cone keeps from its construction."""
+    return LatticeCone(tuple(rows)).determinant
+
+
+def random_cone_rows(rng, n, bound):
+    """n random primitive rows of length n, independent or not."""
+    while True:
+        rows = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n)]
+        if all(math.gcd(*v) == 1 for v in rows):
+            return rows
 
 
 def test_det_frozen_examples():
@@ -29,61 +40,40 @@ def test_det_dimension_mismatch():
 
 
 def test_det_singular():
-    assert det([(2, 4), (1, 2)]) == 0
-    assert det([(1, 0, 0), (0, 1, 1), (1, 1, 1)]) == 0
+    for rows in ([(1, 2), (-1, -2)], [(1, 0, 0), (0, 1, 1), (1, 1, 1)]):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            det(rows)
 
 
-def test_det_matches_permutation_expansion():
+def test_cone_keeps_its_determinant():
     rng = random.Random(20240811)
     for _ in range(300):
-        n = rng.randint(1, 4)
-        rows = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)]
-        assert det(rows) == det_by_permutations(rows)
+        rows = random_cone_rows(rng, rng.randint(1, 4), 9)
+        if det_by_permutations(rows) == 0:
+            with pytest.raises(ValueError, match="linearly dependent"):
+                det(rows)
+        else:
+            assert det(rows) == det_by_permutations(rows)
 
 
 def test_det_alternating_under_row_swap():
     rng = random.Random(7)
-    for _ in range(100):
+    built = 0
+    while built < 100:
         n = rng.randint(2, 4)
-        rows = [tuple(rng.randint(-20, 20) for _ in range(n)) for _ in range(n)]
+        rows = random_cone_rows(rng, n, 20)
+        if det_by_permutations(rows) == 0:
+            continue
         i, j = rng.sample(range(n), 2)
         swapped = list(rows)
         swapped[i], swapped[j] = swapped[j], swapped[i]
         assert det(swapped) == -det(rows)
+        built += 1
 
 
 def test_det_large_entries_exact():
     r = 10**30 + 7
     assert det([(r, r - 3), (0, 1)]) == r
-
-
-def test_is_primitive_agrees_with_make_primitive():
-    rng = random.Random(2024)
-    for _ in range(500):
-        v = tuple(rng.choice([0, 0, 1, -1, 2, -2, 3, 6, -9, 12]) for _ in range(rng.randint(1, 4)))
-        if any(v):
-            assert is_primitive(v) == (math.gcd(*v) == 1)
-    with pytest.raises(ValueError):
-        is_primitive((0, 0))
-    for bad in ((1, True), (1, 1.0), [1, 1], ()):
-        with pytest.raises(ValueError):
-            is_primitive(bad)
-
-
-def test_cone_keeps_its_determinant():
-    rng = random.Random(5)
-    built = 0
-    while built < 100:
-        n = rng.randint(1, 4)
-        gens = [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n)]
-        if not all(any(g) and is_primitive(g) for g in gens):
-            continue
-        if det(gens) == 0:
-            with pytest.raises(ValueError, match="linearly dependent"):
-                LatticeCone(tuple(gens))
-            continue
-        assert LatticeCone(tuple(gens)).determinant == det(gens)
-        built += 1
 
 
 def test_cone_constructor_validation():
@@ -131,7 +121,7 @@ def test_cone_coordinates_round_trip():
             if any(v):
                 g = math.gcd(*v)
                 gens.append(tuple([e // g for e in v]))
-        if len(gens) < n or det(gens[:n]) == 0:
+        if len(gens) < n or det_by_permutations(gens[:n]) == 0:
             continue
         cone = LatticeCone(tuple(gens[:n]))
         w = tuple(rng.randint(-15, 15) for _ in range(n))
@@ -164,10 +154,8 @@ def test_det_equals_sublattice_index():
     rng = random.Random(4242)
     built = 0
     while built < 40:
-        n = rng.randint(2, 3)
-        rows = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)]
-        d = det(rows)
-        if d == 0:
+        rows = random_cone_rows(rng, rng.randint(2, 3), 3)
+        if det_by_permutations(rows) == 0:
             continue
-        assert abs(d) == lattice_index_by_counting(rows)
+        assert abs(det(rows)) == lattice_index_by_counting(rows)
         built += 1

@@ -1,16 +1,17 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from alequot import resolution
-from alequot.lattice import LatticeCone, det
+from alequot.lattice import LatticeCone
 from alequot.formats import parse_subdivision_file
 from alequot.quotient import CyclicQuotient, singularity_data
 from alequot.resolution import (
+    ExceptionalRay,
     FanSubdivision,
+    _hj_digits,
     angle_condition,
-    chain_fan,
-    hj_continued_fraction,
     hj_resolution,
     three_dim_family,
     validate_subdivision,
@@ -24,6 +25,12 @@ def betas(obj):
     return tuple([Fraction(ray.num, obj.parent.quotient.r) for ray in obj.rays])
 
 
+def chain_fan(chain):
+    """The fan of a chain resolution: consecutive boundary rays pair into cones."""
+    boundary = [(0, 1)] + [ray.w for ray in chain.rays] + [chain.parent.sigma.generators[0]]
+    return FanSubdivision(chain.parent, [LatticeCone(pair) for pair in zip(boundary, boundary[1:])])
+
+
 def fold_continued_fraction(digits):
     value = Fraction(digits[-1])
     for b in reversed(digits[:-1]):
@@ -32,27 +39,16 @@ def fold_continued_fraction(digits):
 
 
 def test_hj_continued_fraction_examples():
-    assert hj_continued_fraction(7, 3) == [3, 2, 2]
+    assert _hj_digits(7, 3) == [3, 2, 2]
     for r in (2, 5, 12):
-        assert hj_continued_fraction(r, 1) == [r]
+        assert _hj_digits(r, 1) == [r]
     for r in (2, 3, 6, 11):
-        assert hj_continued_fraction(r, r - 1) == [2] * (r - 1)
-
-
-def test_hj_continued_fraction_bad_input():
-    with pytest.raises(ValueError):
-        hj_continued_fraction(4, 2)
-    with pytest.raises(ValueError):
-        hj_continued_fraction(7, 0)
-    with pytest.raises(ValueError):
-        hj_continued_fraction(7, 7)
-    with pytest.raises(ValueError):
-        hj_continued_fraction(1, 1)
+        assert _hj_digits(r, r - 1) == [2] * (r - 1)
 
 
 def test_hj_continued_fraction_reconstructs():
     for r, a in coprime_pairs(80):
-        digits = hj_continued_fraction(r, a)
+        digits = _hj_digits(r, a)
         assert all(b >= 2 for b in digits)
         assert fold_continued_fraction(digits) == Fraction(r, a)
 
@@ -88,10 +84,10 @@ def test_hj_resolution_crepant_series():
 
 def test_hj_resolution_checks_the_last_recurrence(monkeypatch):
     def bumped(r, a):   # a wrong last digit breaks the recurrence where v enters
-        digits = hj_continued_fraction(r, a)
+        digits = _hj_digits(r, a)
         return digits[:-1] + [digits[-1] + 1]
 
-    monkeypatch.setattr(resolution, "hj_continued_fraction", bumped)
+    monkeypatch.setattr(resolution, "_hj_digits", bumped)
     failure = r"^chain recurrence failed at position 3 for 1/7\(1,3\)$"
     with pytest.raises(AssertionError, match=failure):
         hj_resolution(CyclicQuotient(7, (3,)))
@@ -111,8 +107,19 @@ def test_hj_recurrence_and_unimodularity_sweep():
             assert boundary[j - 1][0] + boundary[j + 1][0] == b * boundary[j][0]
             assert boundary[j - 1][1] + boundary[j + 1][1] == b * boundary[j][1]
         for p, w in zip(boundary, boundary[1:]):
-            assert abs(det([p, w])) == 1
+            assert p[0] * w[1] - p[1] * w[0] == -1
         assert all(0 < beta <= 1 for beta in betas(chain))
+
+
+def test_rays_are_primitive_without_a_runtime_check():
+    # no constructor re-checks primitivity: chain rays lie in det -1 pairs, fan rays are gcd-checked generators
+    for r, a in coprime_pairs(200):
+        assert all(math.gcd(*ray.w) == 1 for ray in hj_resolution(CyclicQuotient(r, (a,))).rays)
+    for r in range(6, 401):
+        for a in range(3, r - 2):
+            if (r + 1) % a == 0:
+                assert all(math.gcd(*ray.w) == 1 for ray in three_dim_family(r, a).rays)
+    assert ExceptionalRay((3, 2), 5) == ((3, 2), 5)
 
 
 def test_hj_rays_match_hull_oracle_small():
@@ -152,7 +159,7 @@ def test_three_dim_family_worked_example():
     assert all(abs(cone.determinant) == 1 for cone in fan.cones)
     # the intermediate cone <v, e2, w1> of the first subdivision step has index a
     v = fan.parent.sigma.generators[0]
-    assert abs(det([v, (0, 1, 0), (1, 1, 1)])) == 4
+    assert abs(LatticeCone((v, (0, 1, 0), (1, 1, 1))).determinant) == 4
 
 
 def test_three_dim_family_second_example():
