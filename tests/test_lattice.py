@@ -45,7 +45,7 @@ def test_det_singular():
             det(rows)
 
 
-def test_cone_keeps_its_determinant():
+def test_det_matches_permutation_expansion():
     rng = random.Random(20240811)
     for _ in range(300):
         rows = random_cone_rows(rng, rng.randint(1, 4), 9)
@@ -54,6 +54,23 @@ def test_cone_keeps_its_determinant():
                 det(rows)
         else:
             assert det(rows) == det_by_permutations(rows)
+
+
+def test_cone_keeps_its_determinant():
+    # the determinant is computed once, from the generators as given, and is kept
+    # out of equality and repr; list rows build the same cone as tuple rows
+    rng = random.Random(5)
+    built = 0
+    while built < 100:
+        rows = random_cone_rows(rng, rng.randint(1, 4), 5)
+        if det_by_permutations(rows) == 0:
+            continue
+        cone = LatticeCone(tuple(rows))
+        from_lists = LatticeCone([list(g) for g in rows])
+        assert from_lists == cone and from_lists.generators == cone.generators
+        assert cone.determinant == from_lists.determinant == det_by_permutations(rows)
+        assert "determinant" not in repr(cone)
+        built += 1
 
 
 def test_det_alternating_under_row_swap():
