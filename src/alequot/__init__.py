@@ -6,16 +6,8 @@ __version__ = "0.1.0"
 
 from types import ModuleType as _ModuleType
 
-from .lattice import (
-    LatticeCone,
-    contains_in_interior,
-    unit_vector,
-)
-from .quotient import (
-    CyclicQuotient,
-    SingularityData,
-    singularity_data,
-)
+from .lattice import LatticeCone, unit_vector
+from .quotient import CyclicQuotient
 from .resolution import (
     AngleVerdict,
     ChainResolution,

@@ -26,7 +26,7 @@ from math import gcd
 
 from . import __version__
 from .formats import parse_run_file, parse_subdivision_file, rational_str, read_text, real_str
-from .quotient import CyclicQuotient, singularity_data
+from .quotient import CyclicQuotient
 from .resolution import (
     FanSubdivision,
     angle_condition,
@@ -112,16 +112,16 @@ def _exit_code(entries) -> int:
     return 1 if any(entry["verdict"] == FAIL for entry in entries) else 0
 
 
-def _exact_report(command: str, inputs: dict, data, body: dict, certificates: dict, tail=None):
+def _exact_report(command: str, inputs: dict, quotient, body: dict, certificates: dict, tail=None):
     """The layout every exact report shares: meta, input, singularity, the
     command's own sections, certificates, then `tail` (the notes by default)."""
     report = {
         "meta": _meta(command),
         "input": inputs,
         "singularity": {
-            "gamma": [rational_str(x, data.quotient.r) for x in data.r_gamma],
-            "gorenstein_index": data.gorenstein_index,
-            "volume_density": rational_str(1, data.quotient.r),
+            "gamma": [rational_str(x, quotient.r) for x in quotient.r_gamma],
+            "gorenstein_index": quotient.gorenstein_index,
+            "volume_density": rational_str(1, quotient.r),
         },
         **body,
         "certificates": certificates,
@@ -149,7 +149,7 @@ def _subdivision_certificates(sub_report, r: int) -> dict:
 
 
 def _subdivision_section(fan, betas: list[str], discrepancies: bool) -> dict:
-    r = fan.parent.quotient.r
+    r = fan.quotient.r
     section = {
         "cones": [[list(g) for g in cone.generators] for cone in fan.cones],
         "rays": [list(ray.w) for ray in fan.rays],
@@ -163,7 +163,6 @@ def _subdivision_section(fan, betas: list[str], discrepancies: bool) -> dict:
 def resolve2d_report(r: int, a: int) -> tuple[dict, int]:
     q = CyclicQuotient(r=r, weights=(a,))
     chain = hj_resolution(q)
-    data = chain.parent
     im = IntersectionMatrix(bs=chain.self_intersections)
     bk = energy(chain)
     strata = volume_density_inequality(chain.rays, chain_strata(len(chain.rays)), r)
@@ -203,7 +202,7 @@ def resolve2d_report(r: int, a: int) -> tuple[dict, int]:
         },
         "notes": [GAMMA_NOTE] + ([ENERGY_NOTE] if bk.conditional else []),
     }
-    return _exact_report("resolve2d", {"r": r, "a": a}, data, {"resolution": resolution}, certificates, tail)
+    return _exact_report("resolve2d", {"r": r, "a": a}, q, {"resolution": resolution}, certificates, tail)
 
 
 def resolve3d_report(r: int, a: int) -> tuple[dict, int]:
@@ -216,24 +215,24 @@ def resolve3d_report(r: int, a: int) -> tuple[dict, int]:
         "volume_density": _strata_certificate(strata, betas, r),
     }
     body = _subdivision_section(fan, betas, discrepancies=True)
-    return _exact_report("resolve3d", {"r": r, "a": a}, fan.parent, body, certificates)
+    return _exact_report("resolve3d", {"r": r, "a": a}, fan.quotient, body, certificates)
 
 
 def check_subdivision_report(text: str) -> tuple[dict, int]:
     quotient, cones = parse_subdivision_file(text)
-    fan = FanSubdivision(singularity_data(quotient), cones)
+    fan = FanSubdivision(quotient, cones)
     sub_report = validate_subdivision(fan)
     betas = [rational_str(ray.num, quotient.r) for ray in fan.rays]
     certificates = {
         **_subdivision_certificates(sub_report, quotient.r),
         "disjointness": {
-            "verdict": _verdict(sub_report.covering_ok) if fan.parent.sigma.dim == 2 else NA,
+            "verdict": _verdict(sub_report.covering_ok) if quotient.dim == 2 else NA,
         },
         "angle_condition": _angle_certificate(angle_condition(fan), betas),
     }
     inputs = {"r": quotient.r, "weights": list(quotient.weights)}
     body = _subdivision_section(fan, betas, discrepancies=False)
-    return _exact_report("check-subdivision", inputs, fan.parent, body, certificates)
+    return _exact_report("check-subdivision", inputs, quotient, body, certificates)
 
 
 ORACLE_CERT_TOL = 1e-6

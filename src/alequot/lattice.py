@@ -87,15 +87,19 @@ class LatticeCone:
 
 
 def contains_in_interior(w: IntVec, cone: LatticeCone) -> bool:
-    """True iff all cone coordinates of w are strictly positive.
-
-    By Cramer's rule lambda_i = det(g_1, .., w, .., g_n) / det(g_1, .., g_n)
-    with w in slot i, so this compares integer determinant signs."""
-    gens, n = cone.generators, cone.dim
+    """True iff all cone coordinates of w are strictly positive."""
     _check_int_vec(w)
-    if len(w) != n:
-        raise ValueError(f"need {n} vectors of dimension {n}, got dimension {len(w)}")
-    return all(_bareiss(gens[:i] + (w,) + gens[i + 1:]) * cone.determinant > 0 for i in range(n))
+    if len(w) != cone.dim:
+        raise ValueError(f"need {cone.dim} vectors of dimension {cone.dim}, got dimension {len(w)}")
+    return _in_interior(w, cone)
+
+
+def _in_interior(w: IntVec, cone: LatticeCone) -> bool:
+    """contains_in_interior for a checked w of the cone's dimension.  By Cramer's
+    rule lambda_i = det(g_1, .., w, .., g_n) / det(g_1, .., g_n) with w in
+    slot i, so this compares integer determinant signs."""
+    gens = cone.generators
+    return all(_bareiss(gens[:i] + (w,) + gens[i + 1:]) * cone.determinant > 0 for i in range(cone.dim))
 
 
 def pairing(w: IntVec, covector: IntVec) -> int:

@@ -9,12 +9,14 @@ the affine chart of the single simplicial cone
 inside Z^n.  The rational vector gamma with <g, gamma> = 1 for every generator
 g of sigma packages the canonical class: any interior primitive ray w of a
 subdivision picks up the cone angle parameter beta = <w, gamma>, and the
-discrepancy of the corresponding exceptional divisor is beta - 1.
+discrepancy of the corresponding exceptional divisor is beta - 1.  The quotient
+alone fixes both, so `CyclicQuotient` carries them, built on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .lattice import IntVec, LatticeCone, pairing, unit_vector
@@ -27,7 +29,8 @@ class CyclicQuotient:
     A group element acts freely on the unit sphere iff every weight is a unit
     mod r, so the constructor insists on gcd(a_i, r) = 1.  Inputs with a
     different first weight must be normalized by the caller (multiply all
-    weights by the inverse of a_1 mod r).
+    weights by the inverse of a_1 mod r).  The volume density at infinity,
+    vol(S^{2n-1}/mu_r) / vol(S^{2n-1}), is 1/r.
     """
 
     r: int
@@ -49,40 +52,25 @@ class CyclicQuotient:
     def dim(self) -> int:
         return 1 + len(self.weights)
 
+    @cached_property
+    def sigma(self) -> LatticeCone:
+        """The presenting cone <v, e_2, ..., e_n> with v = (r, r-a_2, ..., r-a_n)."""
+        v = (self.r,) + tuple([self.r - a for a in self.weights])
+        return LatticeCone((v,) + tuple([unit_vector(i, self.dim) for i in range(1, self.dim)]))
 
-@dataclass(frozen=True)
-class SingularityData:
-    """Derived toric package of a cyclic quotient: cone, gamma and index.
+    @cached_property
+    def r_gamma(self) -> IntVec:
+        """r * gamma, integral: a ray w has cone angle parameter <w, r gamma> / r.  The
+        closed formula ((1 + sum(a_i - r))/r, 1, ..., 1) is re-verified against the
+        defining pairing, so a transcription slip in either route cannot pass silently."""
+        r_gamma = (1 + sum(a - self.r for a in self.weights),) + (self.r,) * len(self.weights)
+        for generator in self.sigma.generators:
+            value = pairing(generator, r_gamma)
+            if value != self.r:
+                raise AssertionError(f"gamma self-check failed: <{generator}, r gamma> = {value} != r = {self.r}")
+        return r_gamma
 
-    gamma is kept as the integer covector r * gamma, so the cone angle
-    parameter of a ray w is the integer <w, r gamma> over r.  The volume
-    density at infinity, vol(S^{2n-1}/mu_r) / vol(S^{2n-1}), is 1/r."""
-
-    quotient: CyclicQuotient
-    sigma: LatticeCone
-    r_gamma: IntVec             # r * gamma, integral
-    gorenstein_index: int       # smallest l >= 1 with l * gamma integral
-
-
-def singularity_data(q: CyclicQuotient) -> SingularityData:
-    """Everything derived from the quotient, with sigma and gamma built once.
-
-    gamma is computed by the closed formula ((1 + sum(a_i - r))/r, 1, ..., 1)
-    and then re-verified against the defining pairing property, so a
-    transcription slip in either route cannot pass silently.  sigma is the
-    presenting cone <v, e_2, ..., e_n> with v = (r, r-a_2, ..., r-a_n).
-    """
-    n = q.dim
-    v = (q.r,) + tuple([q.r - a for a in q.weights])
-    sigma = LatticeCone((v,) + tuple([unit_vector(i, n) for i in range(1, n)]))
-    r_gamma = (1 + sum(a - q.r for a in q.weights),) + (q.r,) * (q.dim - 1)
-    for generator in sigma.generators:
-        value = pairing(generator, r_gamma)
-        if value != q.r:
-            raise AssertionError(f"gamma self-check failed: <{generator}, r gamma> = {value} != r = {q.r}")
-    return SingularityData(
-        quotient=q,
-        sigma=sigma,
-        r_gamma=r_gamma,
-        gorenstein_index=q.r // gcd(q.r, *r_gamma),
-    )
+    @property
+    def gorenstein_index(self) -> int:
+        """The smallest l >= 1 with l * gamma integral."""
+        return self.r // gcd(self.r, *self.r_gamma)

@@ -183,6 +183,9 @@ class PathConfig:
         # calabi_profile's background C s^-n, at the first node
         _closed_form(lambda: self.calabi_c * grid.s[:1] ** (-float(self.n)),
                      f"C s_min^-n = {self.calabi_c} * {grid.s_min}^-{self.n}", "n", "calabi_c", "s_min")
+        # mass_integral's link volume, for every n; last, so each check above keeps its message
+        _closed_form(lambda: link_volume(self.n, self.r_order),
+                     f"link volume 2 pi^n / ((n - 1)! r) at n = {self.n}", "n", "r_order")
 
 
 def bump_values(config: PathConfig, s) -> np.ndarray:

@@ -40,8 +40,8 @@ from itertools import combinations
 from math import lcm, prod
 from typing import NamedTuple
 
-from .lattice import IntVec, LatticeCone, contains_in_interior, pairing, unit_vector
-from .quotient import CyclicQuotient, SingularityData, singularity_data
+from .lattice import IntVec, LatticeCone, _in_interior, pairing, unit_vector
+from .quotient import CyclicQuotient
 
 
 class ExceptionalRay(NamedTuple):
@@ -63,13 +63,9 @@ class ChainResolution:
     w_{j-1} + w_{j+1} = b_j w_j with sentinels w_0 = e_2 and w_{k+1} = v.
     """
 
-    parent: SingularityData
+    quotient: CyclicQuotient
     rays: tuple[ExceptionalRay, ...]
     self_intersections: tuple[int, ...]
-
-    @property
-    def quotient(self) -> CyclicQuotient:
-        return self.parent.quotient
 
 
 @dataclass(frozen=True)
@@ -78,13 +74,13 @@ class FanSubdivision:
     (orbit-cone correspondence, Fulton section 3.1) are the cone generators not
     in sigma, in order of first appearance, each with beta = <w, r gamma> / r."""
 
-    parent: SingularityData
+    quotient: CyclicQuotient
     cones: tuple[LatticeCone, ...]
     rays: tuple[ExceptionalRay, ...] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cones", tuple(self.cones))
-        sigma, r_gamma = self.parent.sigma, self.parent.r_gamma
+        sigma, r_gamma = self.quotient.sigma, self.quotient.r_gamma
         for cone in self.cones:
             if cone.dim != sigma.dim:
                 raise ValueError(f"cone {cone.generators} is not full-dimensional (dim {sigma.dim})")
@@ -115,15 +111,12 @@ def hj_resolution(q: CyclicQuotient) -> ChainResolution:
     if q.dim != 2:
         raise ValueError(f"Hirzebruch-Jung resolution needs a surface quotient, got dim {q.dim}")
     r, a = q.r, q.weights[0]
-    data = singularity_data(q)
     digits = _hj_digits(r, a)
-    v = data.sigma.generators[0]
-    e2 = (0, 1)
-    chain = [e2, (1, 1)]
+    chain = [(0, 1), (1, 1)]  # w_0 = e_2, w_1
     for b in digits[:-1]:
         prev, cur = chain[-2], chain[-1]
         chain.append((b * cur[0] - prev[0], b * cur[1] - prev[1]))
-    chain.append(v)
+    chain.append(q.sigma.generators[0])  # the sentinel v
     # given the recurrence, det(w_j, w_{j+1}) = det(w_{j-1}, w_j) = det(e_2, (1, 1))
     # = -1, so every cone of consecutive rays is unimodular and every ray primitive
     b, (prev, cur, nxt) = digits[-1], chain[-3:]
@@ -131,11 +124,11 @@ def hj_resolution(q: CyclicQuotient) -> ChainResolution:
         raise AssertionError(f"chain recurrence failed at position {len(digits)} for 1/{r}(1,{a})")
     rays = []
     for w in chain[1:-1]:
-        num = pairing(w, data.r_gamma)
+        num = pairing(w, q.r_gamma)
         if not (0 < num <= r):
             raise AssertionError(f"cone angle parameter {num}/{r} for ray {w} outside (0, 1]")
         rays.append(ExceptionalRay(w, num))
-    return ChainResolution(parent=data, rays=tuple(rays), self_intersections=tuple(digits))
+    return ChainResolution(q, tuple(rays), tuple(digits))
 
 
 def three_dim_family(r: int, a: int) -> FanSubdivision:
@@ -153,8 +146,7 @@ def three_dim_family(r: int, a: int) -> FanSubdivision:
         raise ValueError(f"family condition failed: need r > a + 2, got r = {r}, a = {a}")
     if (r + 1) % a != 0:
         raise ValueError(f"family condition failed: {a} does not divide r + 1 = {r + 1}")
-    data = singularity_data(q)
-    v = data.sigma.generators[0]
+    v = q.sigma.generators[0]
     e2, e3 = unit_vector(1, 3), unit_vector(2, 3)
     w1 = (1, 1, 1)
     m = (r + 1) // a
@@ -166,7 +158,7 @@ def three_dim_family(r: int, a: int) -> FanSubdivision:
         LatticeCone((v, w2, w1)),
         LatticeCone((v, e2, w2)),
     )
-    fan = FanSubdivision(parent=data, cones=cones)
+    fan = FanSubdivision(q, cones)
     num1, num2 = [ray.num for ray in fan.rays]  # w1 and w2, in order of first appearance
     if num1 != 2 + a or a * num2 != 2 * (r + 1) + a:
         raise AssertionError("pairing and closed-form cone angles disagree")
@@ -206,7 +198,7 @@ def angle_condition(obj: ChainResolution | FanSubdivision) -> AngleVerdict:
     beta = 1 rays are the crepant (smooth instanton) regime and are reported
     as such rather than failed.
     """
-    r = obj.parent.quotient.r
+    r = obj.quotient.r
     labels = tuple([_classify(ray.num, r) for ray in obj.rays])
     if not labels:
         status = "no-rays"
@@ -257,13 +249,12 @@ def validate_subdivision(sub: FanSubdivision) -> SubdivisionReport:
     face of one cone, any other codimension-one face of two) plus the
     weighted-volume identity: a fan-tiling proof in any dimension (Fulton
     section 2; De Loera-Rambau-Santos chapter 4, see the module docstring)."""
-    data = sub.parent
-    sigma, r = data.sigma, data.quotient.r
+    sigma, r, r_gamma = sub.quotient.sigma, sub.quotient.r, sub.quotient.r_gamma
 
     dets = tuple([abs(cone.determinant) for cone in sub.cones])
 
     # d / prod(beta_g) = d r^n / prod <g, r gamma>, summed over one denominator
-    pairings = [[pairing(g, data.r_gamma) for g in cone.generators] for cone in sub.cones]
+    pairings = [[pairing(g, r_gamma) for g in cone.generators] for cone in sub.cones]
     covering_sum = None
     if all(min(nums) > 0 for nums in pairings):
         den = lcm(*[prod(nums) for nums in pairings])
@@ -278,7 +269,7 @@ def validate_subdivision(sub: FanSubdivision) -> SubdivisionReport:
         and all(k == (1 if f in facets else 2) for f, k in faces.items())
     )
 
-    ray_interior = tuple([contains_in_interior(ray.w, sigma) for ray in sub.rays])
+    ray_interior = tuple([_in_interior(ray.w, sigma) for ray in sub.rays])  # rays are checked generators
 
     all_unimodular = bool(dets) and all(d == 1 for d in dets)
     all_interior = all(ray_interior)

@@ -562,6 +562,17 @@ def test_radial_extreme_example_ends_cleanly(text, code, err, tmp_path, capsys):
     assert (result[0], result[2]) == (code, err)
 
 
+# link_volume divides by the int (n - 1)! r, which a float cannot hold past ~1.8e308, for every n
+@pytest.mark.parametrize("n, r, code", [(3, 10**300, 0), (3, 10**308, 2), (3, 10**400, 2), (2, 10**400, 2)],
+                         ids=["n3-r1e300", "n3-r1e308", "n3-r1e400", "n2-r1e400"])
+def test_radial_group_order_too_large_for_a_float_is_rejected_at_its_line(n, r, code, tmp_path, capsys):
+    text = readme_run_file().replace("n = 3 ", f"n = {n} ").replace("r = 7 ", f"r = {r} ")
+    result = _radial_strict(text, tmp_path / "run.txt", capsys)
+    assert _ends_cleanly(*result) and result[0] == code
+    if code == 2:
+        assert result[2] == f"error: line 2: link volume 2 pi^n / ((n - 1)! r) at n = {n} overflows a float\n"
+
+
 def test_radial_extreme_run_files_end_cleanly(tmp_path, capsys):
     # every closed form a run file reaches is evaluated under one raising errstate
     path = tmp_path / "run.txt"
@@ -783,21 +794,41 @@ PUBLIC_API = {
     "AngleVerdict", "ChainResolution", "CyclicQuotient", "DecayFit", "DecayFitError",
     "EnergyBreakdown", "ExceptionalRay", "FanSubdivision", "IntersectionMatrix",
     "KahlerConeError", "LatticeCone", "MassReport", "PathConfig", "PathTrace", "RadialGrid",
-    "RadialProfile", "SingularityData", "SolverFailure", "StrataReport", "SubdivisionReport",
+    "RadialProfile", "SolverFailure", "StrataReport", "SubdivisionReport",
     "adjunction_check", "angle_condition", "bump_values", "calabi_profile",
-    "chain_strata", "contains_in_interior", "decay_fit", "energy", "family_strata",
+    "chain_strata", "decay_fit", "energy", "family_strata",
     "hj_resolution", "link_volume", "mass_integral",
-    "newton_continuity_solve", "oracle_deviation", "quadrature_oracle", "singularity_data", "three_dim_family", "total_fprime",
+    "newton_continuity_solve", "oracle_deviation", "quadrature_oracle", "three_dim_family", "total_fprime",
     "unit_vector", "validate_subdivision", "volume_density_inequality",
 }
 
 
 def test_public_api():
     # growing or shrinking the flat API must be a deliberate edit of this set
-    assert len(PUBLIC_API) == 41
+    assert len(PUBLIC_API) == 38
     assert len(alequot.__all__) == len(set(alequot.__all__))
     assert set(alequot.__all__) == PUBLIC_API
     assert all(hasattr(alequot, name) for name in alequot.__all__)
+
+
+def test_readme_library_example_runs_and_prints_its_comments():
+    # `code  # value: note` asserts the literal value exactly, `code  # ~value` to one significant digit
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, checked = {}, []
+    for line in block.splitlines():
+        code, _, comment = line.partition("  # ")
+        value = comment.split(":", 1)[0].strip()
+        try:
+            expected = ast.literal_eval(value.removeprefix("~"))
+        except (ValueError, SyntaxError):
+            exec(code, namespace)
+            continue
+        actual = eval(code, namespace)
+        assert (float(f"{actual:.1g}") if value.startswith("~") else actual) == expected, line
+        checked.append(value)
+    assert checked == ["((7, 4), (0, 1))", "(-3, 7), 7", "[4, 5, 6]", "[3, 2, 1], -7", "True", "113", "True",
+                       "[(1, 1, 1), (2, 2, 1)]", "(2, 2, 1)", "True", "~2e-10", "~-2.0"]
 
 
 def test_every_public_name_has_a_caller_in_the_library():

@@ -47,7 +47,7 @@ fans = st.one_of(
 def mutated_fans(draw):
     fan = draw(fans)
     cones = [cone.generators for cone in fan.cones]
-    n = fan.parent.sigma.dim
+    n = fan.quotient.sigma.dim
     kind = draw(st.sampled_from(["drop", "duplicate", "swap", "merge"] if n == 3 else ["drop", "duplicate", "swap"]))
     i = draw(st.integers(0, len(cones) - 1))
     if kind == "drop":
@@ -66,16 +66,16 @@ def mutated_fans(draw):
         generators = sorted(set(cones[i]) | set(cones[j]))
         del generators[draw(st.integers(0, n))]
         cones = [cone for m, cone in enumerate(cones) if m not in (i, j)] + [tuple(generators)]
-    return fan.parent, kind, cones
+    return fan.quotient, kind, cones
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(mutated_fans())
 def test_no_mutated_fan_passes_covering(case):
-    data, kind, cones = case
+    q, kind, cones = case
     try:
         lattice_cones = [LatticeCone(cone) for cone in cones]
     except ValueError:  # zero, non-primitive or dependent generators: no fan to certify
         assume(False)
-    report = validate_subdivision(FanSubdivision(data, lattice_cones))
+    report = validate_subdivision(FanSubdivision(q, lattice_cones))
     assert not report.covering_ok, (kind, cones)

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from alequot import resolution
+from alequot import lattice, resolution
 from alequot.lattice import LatticeCone
 from alequot.formats import parse_subdivision_file
-from alequot.quotient import CyclicQuotient, singularity_data
+from alequot.quotient import CyclicQuotient
 from alequot.resolution import (
     ExceptionalRay,
     FanSubdivision,
@@ -22,13 +22,13 @@ from test_formats import FAN_74
 
 def betas(obj):
     """The cone angle parameters of a chain or fan: each ray's num over r."""
-    return tuple([Fraction(ray.num, obj.parent.quotient.r) for ray in obj.rays])
+    return tuple([Fraction(ray.num, obj.quotient.r) for ray in obj.rays])
 
 
 def chain_fan(chain):
     """The fan of a chain resolution: consecutive boundary rays pair into cones."""
-    boundary = [(0, 1)] + [ray.w for ray in chain.rays] + [chain.parent.sigma.generators[0]]
-    return FanSubdivision(chain.parent, [LatticeCone(pair) for pair in zip(boundary, boundary[1:])])
+    boundary = [(0, 1)] + [ray.w for ray in chain.rays] + [chain.quotient.sigma.generators[0]]
+    return FanSubdivision(chain.quotient, [LatticeCone(pair) for pair in zip(boundary, boundary[1:])])
 
 
 def fold_continued_fraction(digits):
@@ -131,24 +131,23 @@ def test_hj_rays_match_hull_oracle_small():
 def test_beta_as_coefficient_sum_agrees_with_pairing():
     for r, a in coprime_pairs(60):
         q = CyclicQuotient(r, (a,))
-        data = singularity_data(q)
         for ray in hj_resolution(q).rays:
-            assert beta_as_coefficient_sum(ray.w, data.sigma.generators) == Fraction(ray.num, r)
+            assert beta_as_coefficient_sum(ray.w, q.sigma.generators) == Fraction(ray.num, r)
 
 
 def test_beta_as_coefficient_sum_examples():
-    data = singularity_data(CyclicQuotient(7, (3,)))
-    assert beta_as_coefficient_sum((1, 1), data.sigma.generators) == Fraction(4, 7)
-    data3 = singularity_data(CyclicQuotient(7, (1, 4)))
-    assert beta_as_coefficient_sum((1, 1, 1), data3.sigma.generators) == Fraction(6, 7)
+    q = CyclicQuotient(7, (3,))
+    assert beta_as_coefficient_sum((1, 1), q.sigma.generators) == Fraction(4, 7)
+    q3 = CyclicQuotient(7, (1, 4))
+    assert beta_as_coefficient_sum((1, 1, 1), q3.sigma.generators) == Fraction(6, 7)
 
 
 def test_beta_as_coefficient_sum_rejects_boundary():
-    data = singularity_data(CyclicQuotient(7, (3,)))
+    q = CyclicQuotient(7, (3,))
     with pytest.raises(ValueError):
-        beta_as_coefficient_sum((7, 4), data.sigma.generators)
+        beta_as_coefficient_sum((7, 4), q.sigma.generators)
     with pytest.raises(ValueError):
-        beta_as_coefficient_sum((-1, 0), data.sigma.generators)
+        beta_as_coefficient_sum((-1, 0), q.sigma.generators)
 
 
 def test_three_dim_family_worked_example():
@@ -158,7 +157,7 @@ def test_three_dim_family_worked_example():
     assert len(fan.cones) == 5
     assert all(abs(cone.determinant) == 1 for cone in fan.cones)
     # the intermediate cone <v, e2, w1> of the first subdivision step has index a
-    v = fan.parent.sigma.generators[0]
+    v = fan.quotient.sigma.generators[0]
     assert abs(LatticeCone((v, (0, 1, 0), (1, 1, 1))).determinant) == 4
 
 
@@ -180,7 +179,7 @@ def test_three_dim_family_scan():
             assert angle_condition(fan).theorem_applies
             # pairing and coefficient-sum routes agree on every ray
             for ray in fan.rays:
-                assert beta_as_coefficient_sum(ray.w, fan.parent.sigma.generators) == Fraction(ray.num, r)
+                assert beta_as_coefficient_sum(ray.w, fan.quotient.sigma.generators) == Fraction(ray.num, r)
             produced += 1
     assert produced > 20
 
@@ -206,8 +205,8 @@ def test_angle_condition_classifications():
     third = angle_condition(third_chain)
     assert third.theorem_applies and betas(third_chain)[0] == Fraction(2, 3)
     # the ray (1, 2) lies outside sigma and pairs to 11/7 with gamma = (-3/7, 1)
-    data = singularity_data(CyclicQuotient(7, (3,)))
-    outside = FanSubdivision(data, [LatticeCone(((0, 1), (1, 2))), LatticeCone(((1, 2), (7, 4)))])
+    q = CyclicQuotient(7, (3,))
+    outside = FanSubdivision(q, [LatticeCone(((0, 1), (1, 2))), LatticeCone(((1, 2), (7, 4)))])
     positive = angle_condition(outside)
     assert betas(outside)[0] == Fraction(11, 7)
     assert positive.status == "positive-discrepancy"
@@ -215,8 +214,8 @@ def test_angle_condition_classifications():
 
 
 def test_validate_subdivision_trivial_fan():
-    data = singularity_data(CyclicQuotient(7, (3,)))
-    fan = FanSubdivision(data, [data.sigma])
+    q = CyclicQuotient(7, (3,))
+    fan = FanSubdivision(q, [q.sigma])
     report = validate_subdivision(fan)
     assert report.covering_ok and Fraction(*report.covering_sum) == 7
     assert not report.all_unimodular
@@ -225,9 +224,9 @@ def test_validate_subdivision_trivial_fan():
 
 
 def test_validate_subdivision_partial_fan():
-    data = singularity_data(CyclicQuotient(7, (3,)))
+    q = CyclicQuotient(7, (3,))
     cones = [LatticeCone(((0, 1), (1, 1))), LatticeCone(((1, 1), (7, 4)))]
-    report = validate_subdivision(FanSubdivision(data, cones))
+    report = validate_subdivision(FanSubdivision(q, cones))
     assert report.covering_ok and Fraction(*report.covering_sum) == 7
     assert report.cone_determinants == (1, 3)
     assert not report.all_unimodular
@@ -244,26 +243,35 @@ def test_validate_subdivision_full_chain_fan():
 
 
 def test_validate_subdivision_detects_overlap_and_gap():
-    data = singularity_data(CyclicQuotient(7, (3,)))
+    q = CyclicQuotient(7, (3,))
     # gap: two cones that do not abut
     gap = FanSubdivision(
-        data, [LatticeCone(((0, 1), (1, 1))), LatticeCone(((3, 2), (7, 4)))]
+        q, [LatticeCone(((0, 1), (1, 1))), LatticeCone(((3, 2), (7, 4)))]
     )
     report = validate_subdivision(gap)
     assert not report.covering_ok
     # overlap: sectors sharing interior
     overlap = FanSubdivision(
-        data, [LatticeCone(((0, 1), (3, 2))), LatticeCone(((1, 1), (7, 4)))]
+        q, [LatticeCone(((0, 1), (3, 2))), LatticeCone(((1, 1), (7, 4)))]
     )
     report = validate_subdivision(overlap)
     assert not report.covering_ok
     assert not report.overall
 
 
+def test_validate_subdivision_checks_no_ray_again(monkeypatch):
+    # every ray is a cone generator LatticeCone has checked, so interiority reads it unchecked
+    fan = three_dim_family(7, 4)
+    checked = []
+    monkeypatch.setattr(lattice, "_check_int_vec", lambda *args: checked.append(args))
+    assert validate_subdivision(fan).overall
+    assert checked == []
+
+
 def test_validate_subdivision_ray_outside_sigma():
-    data = singularity_data(CyclicQuotient(7, (3,)))
+    q = CyclicQuotient(7, (3,))
     fan = FanSubdivision(
-        data, [LatticeCone(((1, -1), (0, 1))), LatticeCone(((1, -1), (7, 4)))]
+        q, [LatticeCone(((1, -1), (0, 1))), LatticeCone(((1, -1), (7, 4)))]
     )
     report = validate_subdivision(fan)
     assert report.ray_interior == (False,)
@@ -279,20 +287,19 @@ def test_chain_fan_matches_rays():
 
 def test_fan_rays_are_the_cones_new_generators_in_order():
     quotient, cones = parse_subdivision_file(FAN_74)
-    data = singularity_data(quotient)
-    assert [ray.w for ray in FanSubdivision(data, cones).rays] == [(1, 1, 1), (2, 2, 1)]
-    fan = FanSubdivision(data, cones[::-1])
+    assert [ray.w for ray in FanSubdivision(quotient, cones).rays] == [(1, 1, 1), (2, 2, 1)]
+    fan = FanSubdivision(quotient, cones[::-1])
     assert [ray.w for ray in fan.rays] == [(2, 2, 1), (1, 1, 1)]
     for ray in fan.rays:
-        assert (ray.num, data.quotient.r) == (sum(x * y for x, y in zip(ray.w, data.r_gamma)), 7)
+        assert (ray.num, quotient.r) == (sum(x * y for x, y in zip(ray.w, quotient.r_gamma)), 7)
 
 
 def test_fan_of_sigma_alone_has_no_rays():
-    data = singularity_data(CyclicQuotient(7, (1, 4)))
-    assert FanSubdivision(data, [data.sigma]).rays == ()
+    q = CyclicQuotient(7, (1, 4))
+    assert FanSubdivision(q, [q.sigma]).rays == ()
 
 
 def test_fan_rejects_a_cone_of_lower_dimension():
-    data = singularity_data(CyclicQuotient(7, (1, 4)))
+    q = CyclicQuotient(7, (1, 4))
     with pytest.raises(ValueError, match="not full-dimensional"):
-        FanSubdivision(data, [data.sigma, LatticeCone(((1, 0), (0, 1)))])
+        FanSubdivision(q, [q.sigma, LatticeCone(((1, 0), (0, 1)))])

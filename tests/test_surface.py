@@ -148,7 +148,7 @@ def test_adjunction_fails_under_beta_mutation():
             rays = list(chain.rays)
             rays[idx] = ExceptionalRay(rays[idx].w, rays[idx].num + eps)
             mutated = type(chain)(
-                parent=chain.parent,
+                quotient=chain.quotient,
                 rays=tuple(rays),
                 self_intersections=chain.self_intersections,
             )
@@ -189,7 +189,7 @@ def test_energy_invariant_under_chain_reversal():
     for r, a in coprime_pairs(40):
         chain = chain_for(r, a)
         reversed_chain = type(chain)(
-            parent=chain.parent,
+            quotient=chain.quotient,
             rays=tuple(reversed(chain.rays)),
             self_intersections=tuple(reversed(chain.self_intersections)),
         )
