@@ -24,9 +24,7 @@ from .surface import (
     IntersectionMatrix,
     StrataReport,
     adjunction_check,
-    chain_strata,
     energy,
-    family_strata,
     volume_density_inequality,
 )
 

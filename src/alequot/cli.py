@@ -25,23 +25,10 @@ import sys
 from math import gcd
 
 from . import __version__
-from .formats import parse_run_file, parse_subdivision_file, rational_str, read_text, real_str
+from .formats import parse_run_file, parse_subdivision_file, rational_str, read_text, real_str, run_echo
 from .quotient import CyclicQuotient
-from .resolution import (
-    FanSubdivision,
-    angle_condition,
-    hj_resolution,
-    three_dim_family,
-    validate_subdivision,
-)
-from .surface import (
-    IntersectionMatrix,
-    adjunction_check,
-    chain_strata,
-    energy,
-    family_strata,
-    volume_density_inequality,
-)
+from .resolution import FanSubdivision, angle_condition, hj_resolution, three_dim_family, validate_subdivision
+from .surface import IntersectionMatrix, adjunction_check, energy, volume_density_inequality
 
 # The solver names need numpy and scipy.  They are bound into this module on
 # first use, by radial_report or by attribute access, so the exact commands
@@ -165,7 +152,7 @@ def resolve2d_report(r: int, a: int) -> tuple[dict, int]:
     chain = hj_resolution(q)
     im = IntersectionMatrix(bs=chain.self_intersections)
     bk = energy(chain)
-    strata = volume_density_inequality(chain.rays, chain_strata(len(chain.rays)), r)
+    strata = volume_density_inequality(chain)
     betas = [rational_str(ray.num, r) for ray in chain.rays]  # formatted once, printed thrice
 
     certificates = {
@@ -207,7 +194,7 @@ def resolve2d_report(r: int, a: int) -> tuple[dict, int]:
 
 def resolve3d_report(r: int, a: int) -> tuple[dict, int]:
     fan = three_dim_family(r, a)
-    strata = volume_density_inequality(fan.rays, family_strata(), r)
+    strata = volume_density_inequality(fan)
     betas = [rational_str(ray.num, r) for ray in fan.rays]
     certificates = {
         **_subdivision_certificates(validate_subdivision(fan), r),
@@ -242,17 +229,7 @@ DECAY_EXPONENT_TOL = 0.01  # relative to the known tail exponent 1 - n
 def radial_report(text: str) -> tuple[dict, int]:
     _bind_radial()
     config, grid = parse_run_file(text)
-    echo = {
-        "n": config.n,
-        "r": config.r_order,
-        "C": real_str(config.calabi_c),
-        "s0": real_str(config.s0),
-        "w": real_str(config.w),
-        "c": real_str(config.c),
-        "s_min": real_str(grid.s_min),
-        "s_max": real_str(grid.s_max),
-        "nodes": grid.m,
-    }
+    echo = run_echo(config, grid)
     try:
         u, trace = newton_continuity_solve(config, grid)
         fprime = total_fprime(u, config)  # the one f' the oracle, the decay fit and the mass read

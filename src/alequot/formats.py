@@ -1,4 +1,5 @@
-"""File formats and report serialization.
+"""Input file formats and the number formatting reports share (`cli._dumps`
+writes the reports themselves).
 
 Two hand-writable text formats feed the CLI:
 
@@ -144,6 +145,7 @@ _RUN_KEYS = {
     "s_max": ("s_max", float, 1e4),
     "nodes": ("m", int, 2048),
 }
+_GRID_FIELDS = ("s_min", "s_max", "m")  # the RadialGrid fields; PathConfig holds the others
 
 
 def parse_run_file(text: str) -> tuple[PathConfig, RadialGrid]:
@@ -171,7 +173,7 @@ def parse_run_file(text: str) -> tuple[PathConfig, RadialGrid]:
     if missing:
         raise ParseError(1, f"missing required keys: {', '.join(missing)}")
     fields = {name: seen[key][0] if key in seen else default for key, (name, _, default) in _RUN_KEYS.items()}
-    grid_fields = {name: fields.pop(name) for name in ("s_min", "s_max", "m")}
+    grid_fields = {name: fields.pop(name) for name in _GRID_FIELDS}
     try:
         config = PathConfig(**fields)
         grid = RadialGrid(**grid_fields)
@@ -180,3 +182,12 @@ def parse_run_file(text: str) -> tuple[PathConfig, RadialGrid]:
         checked = [line for key, (_, line) in seen.items() if _RUN_KEYS[key][0] in getattr(exc, "fields", ())]
         raise ParseError(max(checked, default=1), str(exc)) from None
     return config, grid
+
+
+def run_echo(config: PathConfig, grid: RadialGrid) -> dict:
+    """Each run-file key, in file order, with its parsed value; floats through real_str."""
+    echo = {}
+    for key, (name, kind, _) in _RUN_KEYS.items():
+        value = getattr(grid if name in _GRID_FIELDS else config, name)
+        echo[key] = real_str(value) if kind is float else value
+    return echo

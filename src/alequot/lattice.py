@@ -4,8 +4,8 @@ Vectors are plain tuples of Python ints (arbitrary precision).  Everything
 here is exact integer arithmetic, no floating point.
 
 An input is checked once, where it enters: `LatticeCone` checks its generators
-and keeps the determinant of its independence check, and `contains_in_interior`
-checks its vector; a value derived from checked ones is not checked again.
+and keeps the determinant of its independence check; a value derived from
+checked ones is not checked again.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from operator import mul
 IntVec = tuple[int, ...]
 
 
-def _check_int_vec(v, what="vector"):
+def _check_int_vec(v, what):
     if not isinstance(v, tuple) or len(v) == 0:
         raise ValueError(f"{what} must be a nonempty tuple of integers, got {v!r}")
     for entry in v:
@@ -86,18 +86,11 @@ class LatticeCone:
         return len(self.generators)
 
 
-def contains_in_interior(w: IntVec, cone: LatticeCone) -> bool:
-    """True iff all cone coordinates of w are strictly positive."""
-    _check_int_vec(w)
-    if len(w) != cone.dim:
-        raise ValueError(f"need {cone.dim} vectors of dimension {cone.dim}, got dimension {len(w)}")
-    return _in_interior(w, cone)
-
-
 def _in_interior(w: IntVec, cone: LatticeCone) -> bool:
-    """contains_in_interior for a checked w of the cone's dimension.  By Cramer's
-    rule lambda_i = det(g_1, .., w, .., g_n) / det(g_1, .., g_n) with w in
-    slot i, so this compares integer determinant signs."""
+    """True iff all cone coordinates of w, a checked vector of the cone's
+    dimension, are strictly positive.  By Cramer's rule lambda_i =
+    det(g_1, .., w, .., g_n) / det(g_1, .., g_n) with w in slot i, so this
+    compares integer determinant signs."""
     gens = cone.generators
     return all(_bareiss(gens[:i] + (w,) + gens[i + 1:]) * cone.determinant > 0 for i in range(cone.dim))
 

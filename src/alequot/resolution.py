@@ -67,6 +67,13 @@ class ChainResolution:
     rays: tuple[ExceptionalRay, ...]
     self_intersections: tuple[int, ...]
 
+    @property
+    def strata(self) -> list[tuple[int, ...]]:
+        """The nonempty intersections of exceptional curves: every curve, then
+        every node E_j cap E_{j+1}, as 0-based ray indices."""
+        k = len(self.rays)
+        return [(j,) for j in range(k)] + [(j, j + 1) for j in range(k - 1)]
+
 
 @dataclass(frozen=True)
 class FanSubdivision:
@@ -87,6 +94,18 @@ class FanSubdivision:
         # each ray is a generator of a LatticeCone, which checked that it is primitive
         seen = dict.fromkeys(g for cone in self.cones for g in cone.generators if g not in sigma.generators)
         object.__setattr__(self, "rays", tuple([ExceptionalRay(w, pairing(w, r_gamma)) for w in seen]))
+
+    @property
+    def strata(self) -> list[tuple[int, ...]]:
+        """The nonempty intersections of exceptional divisors: by the orbit-cone
+        correspondence, every nonempty set of rays that are generators of one
+        cone, as sorted ray indices, by size and then lexicographically."""
+        index = {ray.w: i for i, ray in enumerate(self.rays)}
+        faces = set()
+        for cone in self.cones:
+            own = sorted([index[g] for g in cone.generators if g in index])
+            faces.update(face for n in range(1, len(own) + 1) for face in combinations(own, n))
+        return sorted(faces, key=lambda face: (len(face), face))
 
 
 def _hj_digits(r: int, a: int) -> list[int]:

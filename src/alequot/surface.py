@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .resolution import ChainResolution, ExceptionalRay
+from .resolution import ChainResolution, FanSubdivision
 
 
 def _minors(bs) -> list[int]:
@@ -150,29 +150,16 @@ class StrataReport:
     overall: bool
 
 
-def chain_strata(k: int) -> list[tuple[int, ...]]:
-    """Every curve and every node of a length-k chain."""
-    return [(j,) for j in range(k)] + [(j, j + 1) for j in range(k - 1)]
-
-
-def family_strata() -> list[tuple[int, ...]]:
-    """The 1/r(1,1,a) family: two divisors meeting along one curve."""
-    return [(0,), (1,), (0, 1)]
-
-
-def volume_density_inequality(
-    rays: tuple[ExceptionalRay, ...] | list[ExceptionalRay],
-    strata: list[tuple[int, ...]],
-    r: int,
-) -> StrataReport:
+def volume_density_inequality(resolution: ChainResolution | FanSubdivision) -> StrataReport:
     """Check the Bishop-Gromov consequence: on every nonempty intersection S
-    of exceptional divisors the product of the beta exceeds the volume
-    density 1/r of the cone at infinity, strictly: num * r > r^|S|."""
-    nums = [ray.num for ray in rays]
+    of exceptional divisors (`resolution.strata`) the product of the beta
+    exceeds the volume density 1/r of the cone at infinity, strictly:
+    num * r > r^|S|."""
+    r, nums = resolution.quotient.r, [ray.num for ray in resolution.rays]
     checks = []
-    for stratum in strata:
+    for stratum in resolution.strata:
         num = 1
         for idx in stratum:
             num *= nums[idx]
-        checks.append(StratumCheck(tuple(stratum), num, num * r > r ** len(stratum)))
+        checks.append(StratumCheck(stratum, num, num * r > r ** len(stratum)))
     return StrataReport(strata=tuple(checks), overall=all(c.strict for c in checks))

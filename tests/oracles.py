@@ -97,6 +97,12 @@ def tridiagonal_rows(bs) -> list[list[int]]:
     return [[-bs[i] if i == j else int(abs(i - j) == 1) for j in range(k)] for i in range(k)]
 
 
+def chain_strata(k: int) -> list[tuple[int, ...]]:
+    """Every curve and every node of a length-k chain of curves, the curves
+    listed first, as 0-based curve indices."""
+    return [(j,) for j in range(k)] + [(j, j + 1) for j in range(k - 1)]
+
+
 def ma_density(s, h, f_prime, n: int):
     """Discrete Monge-Ampere density (f')^{n-1} (f' + s f'') on a logarithmic
     grid with nodes s and spacing h in x = log s.

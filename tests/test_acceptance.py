@@ -28,7 +28,6 @@ from alequot.resolution import hj_resolution
 from alequot.surface import (
     IntersectionMatrix,
     adjunction_check,
-    chain_strata,
     energy,
     volume_density_inequality,
 )
@@ -108,14 +107,8 @@ def test_criterion_4_structural_sweep():
         betas = [Fraction(ray.num, r) for ray in chain.rays]
         ok = ok and all(0 < beta <= 1 for beta in betas)
         # (vi) volume density on strata touching a conical ray
-        strata = [
-            stratum
-            for stratum in chain_strata(len(rays))
-            if any(betas[i] < 1 for i in stratum)
-        ]
-        if strata:
-            report = volume_density_inequality(chain.rays, strata, r)
-            ok = ok and report.overall
+        report = volume_density_inequality(chain)
+        ok = ok and all(check.strict for check in report.strata if any(betas[i] < 1 for i in check.indices))
         if not ok:
             break
     elapsed = time.time() - t0

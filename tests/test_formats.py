@@ -9,6 +9,7 @@ from alequot.formats import (
     parse_subdivision_file,
     rational_str,
     real_str,
+    run_echo,
 )
 
 FAN_74 = """\
@@ -79,6 +80,24 @@ def test_parse_subdivision_errors_carry_line_numbers(text, bad_line):
     assert err.value.line == bad_line
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("dim 2\ndim 2\nquotient 7 3\n", 2, "duplicate dim line"),
+    ("dim 2 3\n", 1, "expected: dim N"),
+    ("dim two\n", 1, "dimension 'two' is not an integer"),
+    ("# surfaces and up\ndim 1\n", 2, "dimension must be >= 2, got 1"),
+    ("dim 2\nquotient 7 3\nquotient 7 3\n", 3, "duplicate quotient line"),
+    ("dim 2\nquotient 7 3.0\n", 2, "quotient line must contain integers"),
+    ("cone 7 4 | 0 1\ndim 2\nquotient 7 3\n", 1, "cone lines must come after the quotient line"),
+    ("dim 2\ncone 7 4 | 0 1\nquotient 7 3\n", 2, "cone lines must come after the quotient line"),
+    ("dim 2\n\n# no quotient\n", 1, "missing quotient line"),
+], ids=["duplicate-dim", "dim-fields", "dim-not-int", "dim-below-2", "duplicate-quotient", "quotient-not-int",
+        "leading-cone", "cone-before-quotient", "missing-quotient"])
+def test_parse_subdivision_header_errors_name_line_and_message(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_subdivision_file(text)
+    assert err.value.line == line and str(err.value) == f"line {line}: {message}"
+
+
 def test_parse_subdivision_requires_cones():
     with pytest.raises(ParseError):
         parse_subdivision_file("dim 2\nquotient 7 3\n")
@@ -118,6 +137,26 @@ def test_parse_run_file_errors(text, bad_line):
     with pytest.raises(ParseError) as err:
         parse_run_file(text)
     assert err.value.line == bad_line
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("n = 3\nr = 0\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = 0.0\n", 2, "group order must be an integer >= 1, got 0"),
+    ("C = 1.0\nn = 1\ns0 = 5.0\nw = 2.0\nc = 0.0\n", 2, "complex dimension must be an integer >= 2, got 1"),
+    ("n = 3\nC = 1.0\ns0 = 5.0\nw = 0.0\nc = 0.0\n", 4, "bump half-width must be positive, got 0.0"),
+    ("n = 3\nC = 1.0\ns0 = 5.0\nw = 2.0\nc = 0.0\nr = 2.5\n", 6, "cannot parse '2.5' as int"),
+], ids=["r-zero", "n-one", "w-zero", "r-not-int"])
+def test_parse_run_file_errors_name_line_and_message(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_run_file(text)
+    assert err.value.line == line and str(err.value) == f"line {line}: {message}"
+
+
+def test_run_echo_lists_every_key_in_file_order_with_floats_rounded():
+    # keys in reverse order, defaults left out: the echo follows the format, not the file
+    config, grid = parse_run_file("nodes = 256\nc = -0.25\nw = 2.0\ns0 = 5.0\nC = 1.23456789012345\nn = 3\n")
+    echo = run_echo(config, grid)
+    assert list(echo.items()) == [("n", 3), ("r", 1), ("C", 1.23456789012), ("s0", 5.0), ("w", 2.0),
+                                  ("c", -0.25), ("s_min", 0.01), ("s_max", 10000.0), ("nodes", 256)]
 
 
 def readme_run_file() -> str:

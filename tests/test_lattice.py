@@ -5,11 +5,7 @@ from fractions import Fraction
 import pytest
 
 import alequot.lattice as lattice
-from alequot.lattice import (
-    LatticeCone,
-    contains_in_interior,
-    unit_vector,
-)
+from alequot.lattice import LatticeCone, _in_interior, unit_vector
 from oracles import det_by_permutations, lattice_index_by_counting, solve_fraction
 
 
@@ -105,10 +101,12 @@ def test_cone_constructor_validation():
 @pytest.mark.parametrize("gens, message", [
     (((1, 2.0), (0, 1)), "generator entries must be ints, got 2.0"),
     (((1, 0), (True, 1)), "generator entries must be ints, got True"),
-], ids=["float", "bool"])
+    ((), "cone needs at least one generator"),
+    (((1, 0), (0, 1, 0)), "generators must share one dimension"),
+], ids=["float", "bool", "empty", "mixed-dimension"])
 def test_cone_generator_entry_messages(gens, message):
-    # a subdivision file holds only int vectors, so these are pinned here; the zero and
-    # non-primitive messages are pinned through check-subdivision in tests/test_cli.py
+    # a subdivision file holds only int vectors, dim of them per cone, so these are pinned here;
+    # the zero and non-primitive messages are pinned through check-subdivision in tests/test_cli.py
     with pytest.raises(ValueError) as info:
         LatticeCone(gens)
     assert str(info.value) == message
@@ -117,7 +115,7 @@ def test_cone_generator_entry_messages(gens, message):
 def test_cone_checks_each_generator_once(monkeypatch):
     checked, original = [], lattice._check_int_vec
 
-    def counting(v, what="vector"):
+    def counting(v, what):
         checked.append(v)
         return original(v, what)
 
@@ -147,24 +145,18 @@ def test_cone_coordinates_round_trip():
             sum(lam * g[i] for lam, g in zip(lams, cone.generators)) for i in range(n)
         )
         assert rebuilt == tuple(Fraction(e) for e in w)
-        # the integer Cramer signs agree with the Fraction elimination
-        assert contains_in_interior(w, cone) == all(lam > 0 for lam in lams)
+        # the integer Cramer signs agree with the Fraction elimination (w is an int tuple of the cone's dimension)
+        assert _in_interior(w, cone) == all(lam > 0 for lam in lams)
         built += 1
 
 
 def test_contains_in_interior():
+    # _in_interior reads only checked vectors of the cone's dimension, such as a fan's rays
     cone = LatticeCone(((7, 4), (0, 1)))
-    assert contains_in_interior((1, 1), cone)
-    assert not contains_in_interior((7, 4), cone)       # boundary generator
-    assert not contains_in_interior((0, 1), cone)
-    assert not contains_in_interior((-1, 0), cone)
-
-
-def test_contains_in_interior_checks_the_vector():
-    cone = LatticeCone(((7, 6, 3), (0, 1, 0), (0, 0, 1)))
-    for w in ((1, 1), (1, 1, 1, 1), (1, 1.0, 1), (1, True, 1), [1, 1, 1], ()):
-        with pytest.raises(ValueError):
-            contains_in_interior(w, cone)
+    assert _in_interior((1, 1), cone)
+    assert not _in_interior((7, 4), cone)       # boundary generator
+    assert not _in_interior((0, 1), cone)
+    assert not _in_interior((-1, 0), cone)
 
 
 def test_det_equals_sublattice_index():

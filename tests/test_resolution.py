@@ -16,7 +16,7 @@ from alequot.resolution import (
     three_dim_family,
     validate_subdivision,
 )
-from oracles import beta_as_coefficient_sum, coprime_pairs, hull_chain_rays
+from oracles import beta_as_coefficient_sum, chain_strata, coprime_pairs, hull_chain_rays
 from test_formats import FAN_74
 
 
@@ -303,3 +303,30 @@ def test_fan_rejects_a_cone_of_lower_dimension():
     q = CyclicQuotient(7, (1, 4))
     with pytest.raises(ValueError, match="not full-dimensional"):
         FanSubdivision(q, [q.sigma, LatticeCone(((1, 0), (0, 1)))])
+
+
+def test_chain_strata_match_the_fan_walk_and_the_old_list():
+    # every curve, then every node; walking the chain's fan for its cones finds the same list
+    for r, a in coprime_pairs(200):
+        chain = hj_resolution(CyclicQuotient(r, (a,)))
+        assert chain.strata == chain_fan(chain).strata == chain_strata(len(chain.rays)), (r, a)
+
+
+def test_family_strata_are_two_divisors_and_their_curve():
+    family = [(r, a) for r in range(6, 201) for a in range(3, r - 2) if (r + 1) % a == 0]
+    assert len(family) == 601
+    for r, a in family:
+        assert three_dim_family(r, a).strata == [(0,), (1,), (0, 1)], (r, a)
+
+
+def test_fan_strata_include_a_triple_point():
+    # star-subdivide the family cone <w2, e2, w1> at d = w1 + w2 + e2: the cone <w2, d, w1> has
+    # three exceptional rays, so their three divisors meet in a point
+    fan = three_dim_family(7, 4)
+    w1, w2, e2, d = (1, 1, 1), (2, 2, 1), (0, 1, 0), (3, 4, 2)
+    cones = [cone for cone in fan.cones if set(cone.generators) != {w2, e2, w1}]
+    cones += [LatticeCone((d, e2, w1)), LatticeCone((w2, d, w1)), LatticeCone((w2, e2, d))]
+    starred = FanSubdivision(fan.quotient, cones)
+    assert validate_subdivision(starred).overall
+    assert [ray.w for ray in starred.rays] == [w1, w2, d]
+    assert starred.strata == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,9 +10,7 @@ from alequot.resolution import ExceptionalRay, hj_resolution, three_dim_family
 from alequot.surface import (
     IntersectionMatrix,
     adjunction_check,
-    chain_strata,
     energy,
-    family_strata,
     volume_density_inequality,
 )
 from oracles import coprime_pairs, det_by_permutations, invert_fraction_matrix, tridiagonal_rows
@@ -198,7 +197,7 @@ def test_energy_invariant_under_chain_reversal():
 
 def test_volume_density_inequality_chain():
     chain = chain_for(7, 3)
-    report = volume_density_inequality(chain.rays, chain_strata(3), chain.quotient.r)
+    report = volume_density_inequality(chain)
     assert report.overall
     product = products(report, 7)
     assert product[(0,)] == Fraction(4, 7)
@@ -209,34 +208,39 @@ def test_volume_density_inequality_chain():
 def test_volume_density_inequality_calabi_series():
     for r in range(2, 40):
         chain = chain_for(r, 1)
-        report = volume_density_inequality(chain.rays, chain_strata(1), r)
+        report = volume_density_inequality(chain)
         assert report.overall
         assert products(report, r)[(0,)] == Fraction(2, r)
 
 
 def test_volume_density_inequality_family():
     fan = three_dim_family(7, 4)
-    report = volume_density_inequality(fan.rays, family_strata(), 7)
+    report = volume_density_inequality(fan)
     assert report.overall
     assert products(report, 7)[(0, 1)] == Fraction(30, 49)
 
 
+def stub_resolution(r, rays, strata):
+    """The three things volume_density_inequality reads from a resolution."""
+    return SimpleNamespace(quotient=SimpleNamespace(r=r), rays=rays, strata=strata)
+
+
 def test_volume_density_inequality_can_fail():
     rays = (ExceptionalRay((1, 1), 1),)   # beta = 1/7 = nu: equal, so not strict
-    report = volume_density_inequality(rays, [(0,)], 7)
+    report = volume_density_inequality(stub_resolution(7, rays, [(0,)]))
     assert not report.overall
     assert not report.strata[0].strict
 
 
 def test_stratum_checks_are_plain_tuples_with_names():
-    chain = chain_for(7, 3)
-    report = volume_density_inequality(chain.rays, [[0, 1]], 7)   # a list stratum is kept as a tuple
+    chain, node = chain_for(7, 3), (0, 1)
+    report = volume_density_inequality(stub_resolution(7, chain.rays, [node]))
     assert report.strata == (((0, 1), 20, True),)
-    assert report.strata[0].indices == (0, 1) and report.strata[0].num == 20
+    assert report.strata[0].indices is node and report.strata[0].num == 20   # the stratum is kept, not copied
 
 
 def test_volume_density_sweep():
     for r, a in coprime_pairs(100):
         chain = chain_for(r, a)
-        report = volume_density_inequality(chain.rays, chain_strata(len(chain.rays)), r)
+        report = volume_density_inequality(chain)
         assert report.overall
